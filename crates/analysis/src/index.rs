@@ -1,44 +1,40 @@
-//! The columnar analysis index: build once per dataset (or incrementally
-//! from streamed shard chunks), read by every figure.
+//! The columnar analysis index: folded incrementally from the streamed
+//! campaign chunks, read by every figure.
 //!
 //! ## Why
 //!
-//! The row-oriented [`CrawlDataset`] stores one `VisitRecord` per visit
-//! with nested bid/latency/slot vectors. Every figure used to re-walk
-//! that structure — visiting ~20 pointer-chasing fields to extract the
-//! two or three columns it actually needed, and re-deriving the same
+//! A visit row nests bid/latency/slot vectors, and figures used to
+//! re-walk rows — visiting ~20 pointer-chasing fields to extract the two
+//! or three columns they actually needed, and re-deriving the same
 //! per-site partner unions and popularity rankings up to five times per
 //! report run. [`DatasetIndex`] hoists all of that into flat, parallel
 //! arrays (struct-of-arrays) plus the shared derived tables, so figure
 //! builders become tight scans over contiguous memory.
 //!
-//! ## Two ways to build
+//! ## One way to build
 //!
-//! * [`DatasetIndex::build`] performs **one** pass over a materialized
-//!   dataset; symbols already live in the campaign interner, which the
-//!   index shares by `Arc` — no strings are copied.
-//! * [`DatasetIndexBuilder`] consumes streamed [`VisitChunk`]s as the
-//!   sharded campaign produces them, re-interning chunk-local symbols
-//!   into its own table. Figures built this way never need the full row
-//!   dataset resident — chunks are folded and dropped one at a time.
-//!   Feed chunks in `(day, shard, seq)` order (what
-//!   [`run_campaign_streamed`](hb_crawler::run_campaign_streamed) emits)
-//!   and the resulting figures are byte-identical to the
-//!   dataset-then-index path.
+//! [`DatasetIndexBuilder`] consumes [`VisitChunk`]s as the sharded
+//! campaign (or the distd coordinator) produces them, re-interning
+//! chunk-local symbols into its own table. Chunks are folded and dropped
+//! one at a time, so no campaign-sized dataset is ever resident. Feed
+//! chunks in `(day, shard, seq)` order (what [`run_campaign_streamed`]
+//! emits) and the builder's symbol numbering — hence every figure byte —
+//! is identical for every parallelism and shard count.
+//! [`DatasetIndex::from_campaign`] is that loop for an in-process crawl.
 //!
 //! ## Contract: build once, read many
 //!
 //! * The index is immutable after build; share it freely (`Sync`, fully
 //!   owned — no borrow of the dataset remains).
-//! * Figure builders take `&DatasetIndex` and must not re-scan
-//!   `ds.visits`; everything order-sensitive (site tables sorted by
-//!   domain, partner tables sorted by name, popularity sorted by count
-//!   desc / name asc) is precomputed here so ported figures stay
-//!   byte-identical to their row-scan ancestors.
+//! * Figure builders take `&DatasetIndex` and never see visit rows;
+//!   everything order-sensitive (site tables sorted by domain, partner
+//!   tables sorted by name, popularity sorted by count desc / name asc)
+//!   is precomputed here so ported figures stay byte-identical to their
+//!   row-scan ancestors.
 //!
 //! Every column below is consumed by at least one figure builder — when a
-//! figure stops needing a column, delete it here too; `DatasetIndex::build`
-//! cost (tracked by the `figure/INDEX_build` bench) is paid per column.
+//! figure stops needing a column, delete it here too; fold cost (tracked
+//! by the `figure/INDEX_build` bench) is paid per column.
 //!
 //! Column groups, all parallel within their group:
 //!
@@ -52,7 +48,8 @@
 //! | ground truth | `t_*` | truth record with a measured latency |
 
 use hb_core::{DetectedFacet, Interner, Symbol, VisitView};
-use hb_crawler::{CrawlDataset, TruthRecord, VisitChunk};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, TruthRecord, VisitChunk};
+use hb_ecosystem::SiteFactory;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -153,8 +150,7 @@ pub struct DatasetIndex {
     pub partner_latency_by_sym: HashMap<Symbol, u32>,
 }
 
-/// Symbol-space-agnostic accumulation state shared by the one-shot and
-/// incremental builders.
+/// Symbol-space-agnostic accumulation state of [`DatasetIndexBuilder`].
 #[derive(Default)]
 struct IndexAccum {
     v_rank: Vec<u32>,
@@ -188,7 +184,7 @@ struct IndexAccum {
 
 impl IndexAccum {
     /// Fold one visit; `map` migrates symbols into the index's symbol
-    /// space (identity when the interner is shared).
+    /// space.
     fn push_visit(&mut self, v: VisitView<'_>, map: &mut dyn FnMut(Symbol) -> Symbol) {
         if v.day == 0 {
             self.d0_rank.push(v.rank);
@@ -335,18 +331,14 @@ impl IndexAccum {
 }
 
 impl DatasetIndex {
-    /// Build the index in one pass over `ds` (plus derived-table sorts).
-    /// The campaign interner is shared, not copied.
-    pub fn build(ds: &CrawlDataset) -> DatasetIndex {
-        let mut accum = IndexAccum::default();
-        let mut identity = |sym: Symbol| sym;
-        for v in &ds.visits {
-            accum.push_visit(VisitView::from(v), &mut identity);
-        }
-        for t in &ds.truths {
-            accum.push_truth(t);
-        }
-        accum.finish(ds.strings.clone(), ds.n_sites, ds.n_days)
+    /// Crawl the campaign and fold it into an index:
+    /// [`run_campaign_streamed`] into a [`DatasetIndexBuilder`], each
+    /// chunk dropped as soon as it is folded.
+    pub fn from_campaign(factory: &SiteFactory, cfg: &CampaignConfig) -> DatasetIndex {
+        let config = factory.config();
+        let mut builder = DatasetIndexBuilder::new(config.n_sites, config.crawl_days);
+        run_campaign_streamed(factory, cfg, &mut |chunk| builder.push_chunk(&chunk));
+        builder.finish()
     }
 
     /// Resolve a symbol against the index interner.
@@ -425,7 +417,8 @@ impl DatasetIndexBuilder {
 
 #[cfg(test)]
 mod tests {
-    use crate::test_fixtures::{small_dataset, small_index};
+    use crate::test_fixtures::{for_each_small_chunk, small_index};
+    use std::collections::BTreeSet;
 
     #[test]
     fn columns_are_consistent() {
@@ -439,13 +432,19 @@ mod tests {
         assert_eq!(ix.s_visit.len(), ix.s_size.len());
         // Bid rows point at valid visit rows.
         assert!(ix.b_visit.iter().all(|&v| (v as usize) < n));
-        // Totals line up with the row-oriented accessors.
-        let ds = small_dataset();
+        // Totals line up with the raw visit views the index was folded from.
+        let mut bids = 0;
+        let mut hb_visits = 0;
+        for_each_small_chunk(|c| {
+            for v in c.visits.iter().filter(|v| v.hb_detected) {
+                hb_visits += 1;
+                bids += v.bids.len();
+            }
+        });
         let total_bids: u32 = ix.v_n_bids.iter().sum();
         assert_eq!(total_bids as usize, ix.b_visit.len());
-        assert_eq!(total_bids as u64, ds.total_bids());
-        assert_eq!(ix.n_sites, ds.n_sites);
-        assert_eq!(ix.n_days, ds.n_days);
+        assert_eq!(total_bids as usize, bids);
+        assert_eq!(n, hb_visits);
     }
 
     #[test]
@@ -453,10 +452,17 @@ mod tests {
         let ix = small_index();
         assert!(ix.n_hb_sites() > 10);
         let domains: Vec<&str> = ix.sites.iter().map(|s| ix.str(s.domain)).collect();
-        let mut sorted = domains.clone();
-        sorted.sort_unstable();
-        assert_eq!(domains, sorted);
-        assert_eq!(ix.n_hb_sites(), small_dataset().hb_domains().len());
+        let mut distinct = BTreeSet::new();
+        for_each_small_chunk(|c| {
+            for v in c.visits.iter().filter(|v| v.hb_detected) {
+                distinct.insert(c.strings.resolve(v.domain).to_string());
+            }
+        });
+        // Sorted and deduplicated: exactly the distinct HB domains.
+        assert!(domains
+            .iter()
+            .copied()
+            .eq(distinct.iter().map(String::as_str)));
     }
 
     #[test]
@@ -484,19 +490,17 @@ mod tests {
     #[test]
     fn truth_latency_columns_match_dataset() {
         let ix = small_index();
-        let ds = small_dataset();
-        let hb: Vec<f64> = ds
-            .truths
-            .iter()
-            .filter(|t| t.facet != "none")
-            .filter_map(|t| t.hb_latency_ms)
-            .collect();
-        let wf: Vec<f64> = ds
-            .truths
-            .iter()
-            .filter(|t| t.facet == "none")
-            .filter_map(|t| t.waterfall_latency_ms)
-            .collect();
+        let mut hb = Vec::new();
+        let mut wf = Vec::new();
+        for_each_small_chunk(|c| {
+            for t in &c.truths {
+                if t.facet != "none" {
+                    hb.extend(t.hb_latency_ms);
+                } else {
+                    wf.extend(t.waterfall_latency_ms);
+                }
+            }
+        });
         assert_eq!(ix.t_hb_latency, hb);
         assert_eq!(ix.t_wf_latency, wf);
     }

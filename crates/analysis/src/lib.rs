@@ -1,11 +1,11 @@
 //! # hb-analysis
 //!
 //! The analysis layer regenerating every table and figure of the paper
-//! from a [`CrawlDataset`](hb_crawler::CrawlDataset): dataset summary
-//! (Table 1), adoption (§4.1, Fig. 4), facets (§4.6), partners
-//! (Figs. 8-11), latency (Figs. 12-16), late bids (Figs. 17-18), ad slots
-//! (Figs. 19-21), prices (Figs. 22-24), and the waterfall baseline
-//! comparison (abstract claim). Each builder returns a [`FigureReport`]
+//! from a [`DatasetIndex`] folded from the streamed campaign chunks:
+//! dataset summary (Table 1), adoption (§4.1, Fig. 4), facets (§4.6),
+//! partners (Figs. 8-11), latency (Figs. 12-16), late bids (Figs. 17-18),
+//! ad slots (Figs. 19-21), prices (Figs. 22-24), and the waterfall
+//! baseline comparison (abstract claim). Each builder returns a [`FigureReport`]
 //! carrying the regenerated table, key scalar metrics, and the paper's
 //! stated expectation for side-by-side judgment.
 
@@ -30,5 +30,5 @@ pub mod test_fixtures;
 
 pub use faults::{fault_reports, FaultSlice};
 pub use index::{DatasetIndex, DatasetIndexBuilder};
-pub use registry::{all_reports, dataset_reports, history_reports, indexed_reports};
+pub use registry::{all_reports, history_reports, indexed_reports};
 pub use report::FigureReport;

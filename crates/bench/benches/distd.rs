@@ -82,11 +82,15 @@ fn distd_local_bench(c: &mut Criterion) {
         ..CoordConfig::new(eco)
     };
     let visits = {
-        // One warm-up distributed run to learn the visit count (sweep +
-        // dailies) and to pre-warm the derivation memo pattern.
-        let eco = hb_ecosystem::Ecosystem::generate(cfg.eco.clone());
-        let ds = hb_crawler::run_campaign(&eco, &hb_crawler::CampaignConfig::default());
-        ds.visits.len() as u64
+        // One in-process reference run on the streamed path (each chunk
+        // dropped) to learn the visit count (sweep + dailies).
+        let factory = hb_ecosystem::SiteFactory::new(cfg.eco.clone());
+        let mut visits = 0;
+        let campaign = hb_crawler::CampaignConfig::default();
+        hb_crawler::run_campaign_streamed(&factory, &campaign, &mut |chunk| {
+            visits += chunk.len() as u64
+        });
+        visits
     };
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);

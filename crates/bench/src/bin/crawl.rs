@@ -4,44 +4,51 @@
 //!
 //! Writes `visits.csv`, `bids.csv` and `truth.csv` under the output
 //! directory (default `results/dataset/`), ready for external analysis
-//! tooling. The run is deterministic in the ecosystem seed *and* in the
-//! shard count: chunks merge in `(day, shard, seq)` order, so `--shards 4`
-//! produces byte-identical CSVs to an unsharded run.
+//! tooling. Every shard runs locally and the chunks stream day-major in
+//! `(day, shard, seq)` order straight into the CSV writer, so no chunk is
+//! kept after it is written and `--shards 4` produces byte-identical CSVs
+//! to an unsharded run. The reported visits/sec covers crawling and CSV
+//! writing together. A malformed command line prints one line plus the
+//! usage text and exits 2.
 
 use hb_bench::{stderr_progress, Scale};
-use hb_crawler::{crawl_shard_streamed, merge_chunks, CampaignConfig, VisitChunk};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, DatasetWriter};
+use hb_distd::cli::{flag_parse, flag_value, EXIT_USAGE};
 use hb_ecosystem::SiteFactory;
+use std::collections::HashSet;
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: crawl [tiny|test|medium|paper] [--out DIR] [--shards N]";
+
+fn die(msg: String) -> ! {
+    eprintln!("crawl: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(EXIT_USAGE);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Test;
     let mut out = PathBuf::from("results/dataset");
     let mut shards: u32 = 1;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards needs a positive integer");
-                assert!(shards > 0, "--shards needs a positive integer");
-            }
-            word => {
-                scale = Scale::parse(word).unwrap_or_else(|| {
-                    eprintln!("unknown scale {word:?}; use tiny|test|medium|paper");
-                    std::process::exit(2);
-                });
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        let r = match flag {
+            "--out" => flag_value(&mut args, flag).map(|v| out = PathBuf::from(v)),
+            "--shards" => flag_parse(&mut args, flag).and_then(|n: u32| {
+                if n == 0 {
+                    return Err("--shards: needs a positive integer, got 0".to_string());
+                }
+                shards = n;
+                Ok(())
+            }),
+            word => Scale::parse(word)
+                .map(|s| scale = s)
+                .ok_or_else(|| format!("unknown scale {word:?}; use tiny|test|medium|paper")),
+        };
+        if let Err(e) = r {
+            die(e);
         }
-        i += 1;
     }
     eprintln!("crawling at {scale:?} scale over {shards} shard(s)…");
     let config = scale.config();
@@ -52,39 +59,47 @@ fn main() {
         progress: Some(stderr_progress()),
         ..CampaignConfig::default()
     };
+    let write_failed = |e: std::io::Error| -> ! {
+        eprintln!("crawl: writing {}: {e}", out.display());
+        std::process::exit(1);
+    };
+    let mut writer = DatasetWriter::create(&out).unwrap_or_else(|e| write_failed(e));
     let started = std::time::Instant::now();
-    let mut chunks: Vec<VisitChunk> = Vec::new();
-    for shard_id in 0..shards {
-        let shard_started = std::time::Instant::now();
-        let before = chunks.len();
-        crawl_shard_streamed(&factory, &cfg, shard_id, &mut |c| chunks.push(c));
-        let visits: usize = chunks[before..].iter().map(VisitChunk::len).sum();
-        let secs = shard_started.elapsed().as_secs_f64().max(1e-9);
-        eprintln!(
-            "  shard {shard_id}: {visits} visits in {:.1?} ({:.0} visits/sec)",
-            shard_started.elapsed(),
-            visits as f64 / secs,
-        );
-    }
-    let ds = merge_chunks(chunks, config.n_sites, config.crawl_days);
+    let mut shard_visits = vec![0usize; shards as usize];
+    let mut hb_domains: HashSet<String> = HashSet::new();
+    let (mut auctions, mut bids) = (0u64, 0u64);
+    run_campaign_streamed(&factory, &cfg, &mut |chunk| {
+        shard_visits[chunk.shard as usize] += chunk.len();
+        for v in chunk.visits.iter().filter(|v| v.hb_detected) {
+            let domain = chunk.strings.resolve(v.domain);
+            if !hb_domains.contains(domain) {
+                hb_domains.insert(domain.to_string());
+            }
+            auctions += u64::from(v.slots_auctioned);
+            bids += v.bids.len() as u64;
+        }
+        writer
+            .write_chunk(&chunk)
+            .unwrap_or_else(|e| write_failed(e));
+    });
+    writer.finish().unwrap_or_else(|e| write_failed(e));
     let elapsed = started.elapsed();
-    let visits_per_sec = ds.visits.len() as f64 / elapsed.as_secs_f64().max(1e-9);
+    for (shard, visits) in shard_visits.iter().enumerate() {
+        eprintln!("  shard {shard}: {visits} visits");
+    }
+    let visits: usize = shard_visits.iter().sum();
+    let visits_per_sec = visits as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
-        "done: {} visits over {} sites in {:.1?} ({visits_per_sec:.0} visits/sec)",
-        ds.visits.len(),
+        "done: {visits} visits over {} sites in {elapsed:.1?} ({visits_per_sec:.0} visits/sec)",
         config.n_sites,
-        elapsed
     );
     if let Some(kb) = peak_rss_kb() {
         eprintln!("peak RSS: {:.1} MiB", kb as f64 / 1024.0);
     }
-    ds.save(&out).expect("write dataset");
     eprintln!(
-        "dataset written to {} ({} HB domains, {} auctions, {} bids)",
+        "dataset written to {} ({} HB domains, {auctions} auctions, {bids} bids)",
         out.display(),
-        ds.hb_domains().len(),
-        ds.total_auctions(),
-        ds.total_bids()
+        hb_domains.len(),
     );
 }
 

@@ -2,55 +2,66 @@
 //!
 //! Usage: `figures [tiny|test|medium|paper] [--csv DIR]`
 //!
-//! Runs the Wayback adoption study, generates the ecosystem, runs the full
-//! crawl campaign, and prints each `FigureReport` with the paper's stated
-//! expectation next to the regenerated numbers. With `--csv DIR`, every
-//! report's table is additionally written as `DIR/<id>.csv`.
+//! Runs the Wayback adoption study, then streams the full crawl campaign
+//! over the lazy universe chunk by chunk into the analysis index, and
+//! prints each `FigureReport` with the paper's stated expectation next to
+//! the regenerated numbers. With `--csv DIR`, every report's table is
+//! additionally written as `DIR/<id>.csv`. A malformed command line
+//! prints one line plus the usage text and exits 2.
 
-use hb_analysis::all_reports;
-use hb_bench::{build_dataset, Scale};
-use hb_crawler::{adoption_study, overlap_study};
+use hb_analysis::{all_reports, DatasetIndex};
+use hb_bench::{stderr_progress, Scale};
+use hb_crawler::{adoption_study, overlap_study, CampaignConfig};
+use hb_distd::cli::{flag_value, EXIT_USAGE};
+use hb_ecosystem::SiteFactory;
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: figures [tiny|test|medium|paper] [--csv DIR]";
+
+fn die(msg: String) -> ! {
+    eprintln!("figures: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(EXIT_USAGE);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Test;
     let mut csv_dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(PathBuf::from(
-                    args.get(i).expect("--csv needs a directory"),
-                ));
-            }
-            word => {
-                scale = Scale::parse(word).unwrap_or_else(|| {
-                    eprintln!("unknown scale {word:?}; use tiny|test|medium|paper");
-                    std::process::exit(2);
-                });
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        let r = match flag {
+            "--csv" => flag_value(&mut args, flag).map(|v| csv_dir = Some(PathBuf::from(v))),
+            word => Scale::parse(word)
+                .map(|s| scale = s)
+                .ok_or_else(|| format!("unknown scale {word:?}; use tiny|test|medium|paper")),
+        };
+        if let Err(e) = r {
+            die(e);
         }
-        i += 1;
     }
 
     eprintln!("[1/3] historical adoption study (Wayback substitute)…");
-    let seed = scale.config().seed;
-    let adoption = adoption_study(seed, 1_000);
-    let overlaps = overlap_study(seed, 5_000);
+    let config = scale.config();
+    let adoption = adoption_study(config.seed, 1_000);
+    let overlaps = overlap_study(config.seed, 5_000);
 
-    eprintln!("[2/3] generating ecosystem and running campaign at {scale:?} scale…");
+    eprintln!("[2/3] crawling and indexing the campaign at {scale:?} scale…");
     let started = std::time::Instant::now();
-    let (_eco, ds) = build_dataset(scale, true);
+    let cfg = CampaignConfig {
+        progress_every: 5_000,
+        progress: Some(stderr_progress()),
+        ..CampaignConfig::default()
+    };
+    let index = DatasetIndex::from_campaign(&SiteFactory::new(config), &cfg);
     eprintln!(
-        "      campaign done: {} visits in {:.1?}",
-        ds.visits.len(),
+        "      campaign done: {} HB visits in {:.1?}",
+        index.n_hb_visits(),
         started.elapsed()
     );
 
     eprintln!("[3/3] building reports…");
-    let reports = all_reports(&ds, &adoption, &overlaps);
+    let reports = all_reports(&index, &adoption, &overlaps);
     for r in &reports {
         print!("{}", r.render());
         if let Some(dir) = &csv_dir {

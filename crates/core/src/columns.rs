@@ -8,8 +8,8 @@
 //! into shared arrays indexed by per-visit offset ranges. The crawl
 //! pipeline streams finished visits into per-shard columnar chunks built
 //! on this type, and the analysis layer's incremental index builder reads
-//! the columns directly — rows are only re-materialized when a
-//! [`CrawlDataset`-style] row view is explicitly requested.
+//! the columns directly — rows are only re-materialized when a row view
+//! ([`VisitView::to_record`]) is explicitly requested.
 
 use crate::intern::Symbol;
 use crate::record::{DetectedBid, DetectedFacet, DetectedSlot, PartnerLatency, VisitRecord};
@@ -297,36 +297,6 @@ impl VisitColumns {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Rewrite every symbol in every column through `f` (the chunk-merge
-    /// step migrating from a chunk-local interner into the campaign-wide
-    /// one).
-    pub fn remap_symbols(&mut self, f: &mut impl FnMut(Symbol) -> Symbol) {
-        for d in &mut self.domain {
-            *d = f(*d);
-        }
-        for p in &mut self.partners {
-            *p = f(*p);
-        }
-        for b in &mut self.bids {
-            b.bidder_code = f(b.bidder_code);
-            b.partner_name = f(b.partner_name);
-            b.slot = f(b.slot);
-            b.size = f(b.size);
-        }
-        for pl in &mut self.partner_latencies {
-            pl.partner_name = f(pl.partner_name);
-            pl.bidder_code = f(pl.bidder_code);
-        }
-        for s in &mut self.slots {
-            s.slot = f(s.slot);
-            s.size = f(s.size);
-            s.winner = f(s.winner);
-            s.channel = f(s.channel);
-        }
-        for (label, _) in &mut self.event_counts {
-            *label = f(*label);
-        }
-    }
 }
 
 /// The scalar fields of one visit row, committed together by
@@ -452,30 +422,6 @@ impl Drop for VisitBuilder<'_> {
     }
 }
 
-impl<'a> From<&'a VisitRecord> for VisitView<'a> {
-    fn from(v: &'a VisitRecord) -> VisitView<'a> {
-        VisitView {
-            domain: v.domain,
-            rank: v.rank,
-            day: v.day,
-            hb_detected: v.hb_detected,
-            facet: v.facet,
-            slots_auctioned: v.slots_auctioned,
-            hb_latency_ms: v.hb_latency_ms,
-            page_load_ms: v.page_load_ms,
-            bids_dropped: v.bids_dropped,
-            retries: v.retries,
-            timed_out_partners: v.timed_out_partners,
-            passback_served: v.passback_served,
-            partners: &v.partners,
-            bids: &v.bids,
-            partner_latencies: &v.partner_latencies,
-            slots: &v.slots,
-            event_counts: &v.event_counts,
-        }
-    }
-}
-
 impl FromIterator<VisitRecord> for VisitColumns {
     fn from_iter<T: IntoIterator<Item = VisitRecord>>(iter: T) -> VisitColumns {
         let mut c = VisitColumns::new();
@@ -566,39 +512,6 @@ mod tests {
         assert_eq!(cols.get(0).late_bids(), 1);
         let total: usize = cols.iter().map(|v| v.bids.len()).sum();
         assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn remap_rewrites_every_column() {
-        // Column-order remap visits symbols in a different sequence than
-        // the per-record remap, so ids may differ — the *resolved text*
-        // of every field must agree.
-        let mut local = Interner::new();
-        let rows: Vec<VisitRecord> = (1..=3).map(|r| sample(&mut local, r, 2)).collect();
-        let mut cols: VisitColumns = rows.iter().cloned().collect();
-
-        let mut global_a = Interner::new();
-        let mut global_b = Interner::new();
-        cols.remap_symbols(&mut |sym| global_a.intern(local.resolve(sym)));
-        for (i, mut row) in rows.into_iter().enumerate() {
-            row.remap_symbols(&mut |sym| global_b.intern(local.resolve(sym)));
-            let view = cols.get(i);
-            assert_eq!(global_a.resolve(view.domain), global_b.resolve(row.domain));
-            assert_eq!(
-                global_a.resolve(view.bids[0].slot),
-                global_b.resolve(row.bids[0].slot)
-            );
-            assert_eq!(
-                global_a.resolve(view.partner_latencies[0].bidder_code),
-                global_b.resolve(row.partner_latencies[0].bidder_code)
-            );
-            assert_eq!(
-                global_a.resolve(view.event_counts[0].0),
-                global_b.resolve(row.event_counts[0].0)
-            );
-        }
-        // Same distinct strings end up interned either way.
-        assert_eq!(global_a.len(), global_b.len());
     }
 
     #[test]

@@ -13,24 +13,24 @@
 //! interns strings into a block-local interner — sealing the block as a
 //! self-contained columnar [`VisitChunk`] keyed `(day, shard, seq)`.
 //! Chunks stream to the caller in deterministic key order the moment they
-//! are sealed (a small reorder window smooths over scheduling).
+//! are sealed (a bounded slot ring hands them over without reordering).
 //!
 //! Determinism: every `(site, day)` visit derives its own RNG stream from
 //! the master seed, block boundaries are a pure function of the job list,
-//! and the merge re-interns records in `(day, shard, seq, rank)` order —
-//! which, because shard slices are contiguous, is exactly the global
-//! `(day, rank)` order. Symbol numbering and figure bytes are therefore
-//! identical for every `parallelism` *and* every `shards` setting.
+//! and [`run_campaign_streamed`] emits chunks day-major in
+//! `(day, shard, seq)` order — which, because shard slices are contiguous,
+//! is exactly the global `(day, rank)` visit order. A consumer that
+//! interns in arrival order (the analysis index builder, the dataset CSV
+//! writer) therefore produces identical symbol numbering and bytes for
+//! every `parallelism` *and* every `shards` setting.
 
 use crate::chunk::VisitChunk;
-use crate::dataset::CrawlDataset;
 use crate::ring::SlotRing;
 use crate::session::{crawl_site_into, SessionConfig, VisitScratch};
 use hb_core::{Interner, VisitColumns};
-use hb_ecosystem::{Ecosystem, SiteFactory};
+use hb_ecosystem::SiteFactory;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// A progress observation delivered to [`CampaignConfig::progress`].
 #[derive(Clone, Copy, Debug)]
@@ -56,12 +56,10 @@ pub struct CampaignConfig {
     pub parallelism: usize,
     /// Session policy.
     pub session: SessionConfig,
-    /// Number of contiguous toplist shards (1 = unsharded).
+    /// Number of contiguous toplist shards (1 = unsharded). Every shard
+    /// runs locally, interleaved day-major; multi-machine operation leases
+    /// blocks through `hb-distd` instead.
     pub shards: u32,
-    /// Crawl only this shard (multi-machine operation); `None` runs every
-    /// shard locally, interleaved day-major so chunks stream in merge
-    /// order.
-    pub shard_id: Option<u32>,
     /// Visits per sealed chunk (block size of the worker scheduler).
     pub chunk_visits: usize,
     /// Progress callback interval in visits; 0 disables progress entirely.
@@ -77,7 +75,6 @@ impl Default for CampaignConfig {
             parallelism: 0,
             session: SessionConfig::default(),
             shards: 1,
-            shard_id: None,
             chunk_visits: 256,
             progress_every: 0,
             progress: None,
@@ -91,7 +88,6 @@ impl fmt::Debug for CampaignConfig {
             .field("parallelism", &self.parallelism)
             .field("session", &self.session)
             .field("shards", &self.shards)
-            .field("shard_id", &self.shard_id)
             .field("chunk_visits", &self.chunk_visits)
             .field("progress_every", &self.progress_every)
             .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
@@ -118,7 +114,7 @@ impl ShardSpec {
 
     /// The contiguous half-open range of 1-based ranks this shard crawls.
     /// Slices are contiguous so that `(day, shard, rank)` order equals the
-    /// global `(day, rank)` order — the merge invariant.
+    /// global `(day, rank)` order — the stream-order invariant.
     pub fn rank_range(&self, n_sites: u32) -> std::ops::Range<u32> {
         let base = n_sites / self.shards;
         let rem = n_sites % self.shards;
@@ -348,55 +344,12 @@ fn run_batch(
     });
 }
 
-/// Crawl one shard end to end (day-0 sweep over its slice, then daily
-/// revisits of its detected HB sites), streaming chunks in `(day, seq)`
-/// order. The shard layout comes from `cfg.shards`, so the chunk keys
-/// always agree with the configuration. This is the unit of multi-machine
-/// distribution: ship the returned chunks anywhere and [`merge_chunks`]
-/// reassembles the global dataset.
-///
-/// # Panics
-/// Panics when `shard_id >= cfg.shards.max(1)`.
-pub fn crawl_shard_streamed(
-    factory: &SiteFactory,
-    cfg: &CampaignConfig,
-    shard_id: u32,
-    sink: &mut dyn FnMut(VisitChunk),
-) {
-    let shard = ShardSpec::new(cfg.shards.max(1), shard_id);
-    let config = factory.config();
-    let ranks: Vec<u32> = shard.rank_range(config.n_sites).collect();
-    let mut detected: Vec<u32> = Vec::new();
-    run_batch(factory, &ranks, 0, shard.shard_id, cfg, &mut |chunk| {
-        detected.extend(
-            chunk
-                .visits
-                .iter()
-                .filter(|v| v.hb_detected)
-                .map(|v| v.rank),
-        );
-        sink(chunk);
-    });
-    for day in 1..=config.crawl_days {
-        run_batch(factory, &detected, day, shard.shard_id, cfg, sink);
-    }
-}
-
-/// [`crawl_shard_streamed`], collected.
-pub fn crawl_shard(
-    factory: &SiteFactory,
-    cfg: &CampaignConfig,
-    shard_id: u32,
-) -> Vec<VisitChunk> {
-    let mut chunks = Vec::new();
-    crawl_shard_streamed(factory, cfg, shard_id, &mut |c| chunks.push(c));
-    chunks
-}
-
-/// Run every shard locally, streaming chunks to `sink` in global merge
-/// order (`(day, shard, seq)` — day-major across shards). Consumers like
-/// the analysis layer's incremental index builder can fold chunks as they
-/// arrive and drop them, so the full row dataset is never resident.
+/// Run the full campaign — day-0 sweep, then daily revisits of the
+/// detected HB sites — over every shard locally, streaming chunks to
+/// `sink` in `(day, shard, seq)` order (day-major across shards).
+/// Consumers like the analysis layer's incremental index builder or the
+/// dataset CSV writer fold each chunk as it arrives and drop it, so no
+/// campaign-sized dataset is ever resident.
 pub fn run_campaign_streamed(
     factory: &SiteFactory,
     cfg: &CampaignConfig,
@@ -436,108 +389,81 @@ pub fn run_campaign_streamed(
     }
 }
 
-/// Merge any collection of chunks into the row-oriented dataset.
-///
-/// Chunks are ordered by their `(day, shard, seq)` key and every record is
-/// re-interned into the campaign-wide interner in that order — with
-/// contiguous shard slices this is the global `(day, rank)` visit order,
-/// so symbol numbering (not just resolved text) is identical for every
-/// parallelism and shard-count setting.
-pub fn merge_chunks(mut chunks: Vec<VisitChunk>, n_sites: u32, n_days: u32) -> CrawlDataset {
-    chunks.sort_by_key(VisitChunk::key);
-    let total: usize = chunks.iter().map(VisitChunk::len).sum();
-    let mut strings = Interner::new();
-    let mut visits = Vec::with_capacity(total);
-    let mut truths = Vec::with_capacity(total);
-    for chunk in chunks {
-        let VisitChunk {
-            visits: cols,
-            truths: t,
-            strings: local,
-            ..
-        } = chunk;
-        for i in 0..cols.len() {
-            let mut rec = cols.get(i).to_record();
-            rec.remap_symbols(&mut |sym| strings.intern(local.resolve(sym)));
-            visits.push(rec);
-        }
-        truths.extend(t);
-    }
-    CrawlDataset {
-        visits,
-        truths,
-        n_sites,
-        n_days,
-        strings: Arc::new(strings),
-    }
-}
-
-/// Run the full campaign over a lazy factory: day-0 sweep + daily HB-site
-/// revisits, merged into a row dataset.
-///
-/// With `cfg.shard_id = Some(i)` only that shard's slice is crawled; the
-/// result is a **partial** dataset still stamped with the *global*
-/// `n_sites`/`n_days` (it describes the universe, not the visit count).
-/// Partial datasets are meant to be shipped as chunks and combined with
-/// the other shards via [`merge_chunks`] before figure generation —
-/// universe-denominated figures (adoption rates, Table 1 site counts)
-/// over a single shard's dataset will otherwise understate by roughly the
-/// shard count.
-pub fn run_factory_campaign(factory: &SiteFactory, cfg: &CampaignConfig) -> CrawlDataset {
-    let config = factory.config();
-    let mut chunks = Vec::new();
-    match cfg.shard_id {
-        Some(id) => crawl_shard_streamed(factory, cfg, id, &mut |c| chunks.push(c)),
-        None => run_campaign_streamed(factory, cfg, &mut |c| chunks.push(c)),
-    }
-    merge_chunks(chunks, config.n_sites, config.crawl_days)
-}
-
-/// Run the full campaign: day-0 sweep + daily HB-site revisits.
-pub fn run_campaign(eco: &Ecosystem, cfg: &CampaignConfig) -> CrawlDataset {
-    run_factory_campaign(eco.factory(), cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_ecosystem::EcosystemConfig;
+    use hb_ecosystem::{Ecosystem, EcosystemConfig};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
-    fn tiny_campaign() -> CrawlDataset {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        run_campaign(&eco, &CampaignConfig::default())
+    fn tiny() -> SiteFactory {
+        SiteFactory::new(EcosystemConfig::tiny_scale())
+    }
+
+    fn chunks(factory: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+        let mut out = Vec::new();
+        run_campaign_streamed(factory, cfg, &mut |c| out.push(c));
+        out
+    }
+
+    /// Every visit as `(rank, day, resolved domain, HB latency, bids)`,
+    /// plus every truth as `(rank, day, revenue)`, in stream order.
+    type Rows = (
+        Vec<(u32, u32, String, Option<f64>, usize)>,
+        Vec<(u32, u32, f64)>,
+    );
+
+    fn rows(chunks: &[VisitChunk]) -> Rows {
+        let mut visits = Vec::new();
+        let mut truths = Vec::new();
+        for c in chunks {
+            for v in c.visits.iter() {
+                let domain = c.strings.resolve(v.domain).to_string();
+                visits.push((v.rank, v.day, domain, v.hb_latency_ms, v.bids.len()));
+            }
+            truths.extend(c.truths.iter().map(|t| (t.rank, t.day, t.revenue_cpm)));
+        }
+        (visits, truths)
     }
 
     #[test]
     fn campaign_covers_sweep_plus_daily() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let ds = run_campaign(&eco, &CampaignConfig::default());
-        let hb_day0 = ds
-            .visits
+        let factory = tiny();
+        let chunks = chunks(&factory, &CampaignConfig::default());
+        let hb_day0 = chunks
             .iter()
+            .flat_map(|c| c.visits.iter())
             .filter(|v| v.day == 0 && v.hb_detected)
             .count();
+        let visits: usize = chunks.iter().map(VisitChunk::len).sum();
+        let config = factory.config();
         assert_eq!(
-            ds.visits.len(),
-            eco.sites().len() + hb_day0 * eco.config.crawl_days as usize
+            visits,
+            config.n_sites as usize + hb_day0 * config.crawl_days as usize
         );
-        assert_eq!(ds.truths.len(), ds.visits.len());
+        for c in &chunks {
+            assert_eq!(c.truths.len(), c.len());
+        }
+        // Keys arrive in (day, shard, seq) order.
+        assert!(chunks.windows(2).all(|w| w[0].key() < w[1].key()));
     }
 
     #[test]
     fn detector_matches_ground_truth_adoption() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let ds = run_campaign(&eco, &CampaignConfig::default());
+        let chunks = chunks(eco.factory(), &CampaignConfig::default());
         let truth_hb: BTreeSet<&str> = eco
             .hb_sites()
             .map(|s| s.domain.as_str())
             .collect();
-        let detected: BTreeSet<&str> = ds
-            .visits
+        let detected: BTreeSet<&str> = chunks
             .iter()
-            .filter(|v| v.day == 0 && v.hb_detected)
-            .map(|v| ds.str(v.domain))
+            .flat_map(|c| {
+                c.visits
+                    .iter()
+                    .filter(|v| v.day == 0 && v.hb_detected)
+                    .map(|v| c.strings.resolve(v.domain))
+            })
             .collect();
         // 100% precision (paper §4.1): nothing detected that is not HB.
         for d in &detected {
@@ -551,91 +477,63 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_parallelism() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let a = run_campaign(
-            &eco,
-            &CampaignConfig {
-                parallelism: 1,
-                ..CampaignConfig::default()
-            },
-        );
-        let b = run_campaign(
-            &eco,
-            &CampaignConfig {
-                parallelism: 4,
-                ..CampaignConfig::default()
-            },
-        );
-        assert_eq!(a.visits.len(), b.visits.len());
-        for (x, y) in a.visits.iter().zip(b.visits.iter()) {
-            // Symbol *ids* match across parallelism settings (the merge
-            // renumbers in deterministic order), not just resolved text.
-            assert_eq!(x.domain, y.domain);
-            assert_eq!(a.str(x.domain), b.str(y.domain));
-            assert_eq!(x.day, y.day);
-            assert_eq!(x.hb_latency_ms, y.hb_latency_ms);
-            assert_eq!(x.bids.len(), y.bids.len());
+        // Block boundaries depend only on the job list, never on the
+        // worker count, so the sealed frames — keys, chunk-local symbol
+        // numbering, columns and truths — are byte-identical.
+        let factory = tiny();
+        for chunk_visits in [23, 37] {
+            let frames = |parallelism: usize| -> Vec<Vec<u8>> {
+                let cfg = CampaignConfig {
+                    parallelism,
+                    chunk_visits,
+                    ..CampaignConfig::default()
+                };
+                chunks(&factory, &cfg)
+                    .iter()
+                    .map(VisitChunk::encode)
+                    .collect()
+            };
+            let serial = frames(1);
+            assert!(serial.len() > 1, "want multiple chunks");
+            assert_eq!(serial, frames(4), "chunk_visits {chunk_visits}");
         }
     }
 
     #[test]
     fn sharding_does_not_change_results() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let one = run_campaign(&eco, &CampaignConfig::default());
-        let four = run_campaign(
-            &eco,
+        let factory = tiny();
+        let one = rows(&chunks(&factory, &CampaignConfig::default()));
+        let four = rows(&chunks(
+            &factory,
             &CampaignConfig {
                 shards: 4,
-                chunk_visits: 17, // odd block size to stress the reorder
+                chunk_visits: 17, // odd block size to stress the hand-off
                 ..CampaignConfig::default()
             },
-        );
-        assert_eq!(one.visits.len(), four.visits.len());
-        for (x, y) in one.visits.iter().zip(four.visits.iter()) {
-            assert_eq!(x.domain, y.domain, "visit order differs under sharding");
-            assert_eq!(x.day, y.day);
-            assert_eq!(x.hb_latency_ms, y.hb_latency_ms);
-            assert_eq!(x.bids.len(), y.bids.len());
-        }
-        assert_eq!(one.strings.len(), four.strings.len());
-        for ((sa, ta), (sb, tb)) in one.strings.iter().zip(four.strings.iter()) {
-            assert_eq!(sa, sb);
-            assert_eq!(ta, tb);
-        }
-        for (x, y) in one.truths.iter().zip(four.truths.iter()) {
-            assert_eq!(x.rank, y.rank);
-            assert_eq!(x.day, y.day);
-            assert_eq!(x.revenue_cpm, y.revenue_cpm);
-        }
+        ));
+        assert_eq!(one, four, "visit order or content differs under sharding");
     }
 
     #[test]
     fn single_shard_crawl_matches_its_slice_of_the_campaign() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        // Crawl shard 1 of 4 in isolation (the multi-machine path)…
-        let ds_shard = run_factory_campaign(
-            eco.factory(),
+        // Shard 1 of 4 crawls exactly its contiguous rank slice, and each
+        // of its visits equals the same visit of the unsharded campaign.
+        let factory = tiny();
+        let sharded = chunks(
+            &factory,
             &CampaignConfig {
                 shards: 4,
-                shard_id: Some(1),
                 ..CampaignConfig::default()
             },
         );
-        // …and compare with the same slice of the full campaign.
-        let full = run_campaign(&eco, &CampaignConfig::default());
-        let range = ShardSpec::new(4, 1).rank_range(eco.config.n_sites);
-        let expect: Vec<_> = full
-            .visits
-            .iter()
-            .filter(|v| range.contains(&v.rank))
-            .collect();
-        assert_eq!(ds_shard.visits.len(), expect.len());
-        for (got, want) in ds_shard.visits.iter().zip(expect) {
-            assert_eq!(got.rank, want.rank);
-            assert_eq!(got.day, want.day);
-            assert_eq!(got.hb_latency_ms, want.hb_latency_ms);
-            assert_eq!(got.bids.len(), want.bids.len());
-        }
+        let shard1: Vec<VisitChunk> = sharded.into_iter().filter(|c| c.shard == 1).collect();
+        let range = ShardSpec::new(4, 1).rank_range(factory.config().n_sites);
+        let (got, _) = rows(&shard1);
+        assert!(got.iter().all(|v| range.contains(&v.0)));
+        let (full, _) = rows(&chunks(&factory, &CampaignConfig::default()));
+        let want: Vec<_> = full.into_iter().filter(|v| range.contains(&v.0)).collect();
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -652,8 +550,6 @@ mod tests {
 
     #[test]
     fn progress_callback_fires_off_stderr() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         let cfg = CampaignConfig {
@@ -664,7 +560,7 @@ mod tests {
             })),
             ..CampaignConfig::default()
         };
-        let _ = run_campaign(&eco, &cfg);
+        run_campaign_streamed(&tiny(), &cfg, &mut drop);
         assert!(hits.load(Ordering::Relaxed) > 0, "callback never fired");
     }
 
@@ -679,7 +575,6 @@ mod tests {
         use std::time::Duration;
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
             let cfg = CampaignConfig {
                 parallelism: 4,
                 chunk_visits: 8, // many blocks so producers race ahead
@@ -688,7 +583,7 @@ mod tests {
                 ..CampaignConfig::default()
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_campaign(&eco, &cfg)
+                run_campaign_streamed(&tiny(), &cfg, &mut drop)
             }));
             let _ = tx.send(result.is_err());
         });
@@ -702,7 +597,7 @@ mod tests {
     fn panicking_progress_callback_single_worker_surfaces() {
         // The single-worker batch path runs inline with no ring; the panic
         // must still propagate (and not poison later campaigns).
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let factory = tiny();
         let cfg = CampaignConfig {
             parallelism: 1,
             progress_every: 1,
@@ -710,23 +605,30 @@ mod tests {
             ..CampaignConfig::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(&eco, &cfg)
+            run_campaign_streamed(&factory, &cfg, &mut drop)
         }));
         assert!(result.is_err());
-        // The ecosystem is untouched by the failed campaign: a clean run
+        // The factory is untouched by the failed campaign: a clean run
         // afterwards still works.
-        let ds = run_campaign(&eco, &CampaignConfig::default());
-        assert!(!ds.visits.is_empty());
+        assert!(!chunks(&factory, &CampaignConfig::default()).is_empty());
     }
 
     #[test]
     fn dataset_statistics_plausible() {
-        let ds = tiny_campaign();
-        assert!(ds.total_auctions() > 0);
-        assert!(ds.total_bids() > 0);
-        assert!(!ds.distinct_partners().is_empty());
+        let chunks = chunks(&tiny(), &CampaignConfig::default());
+        let hb = || {
+            chunks
+                .iter()
+                .flat_map(|c| c.visits.iter())
+                .filter(|v| v.hb_detected)
+        };
+        let auctions: u64 = hb().map(|v| v.slots_auctioned as u64).sum();
+        let bids: u64 = hb().map(|v| v.bids.len() as u64).sum();
+        assert!(auctions > 0);
+        assert!(bids > 0);
+        assert!(hb().any(|v| !v.partners.is_empty()));
         // Bids per auction should be well below 1 for clean profiles.
-        let ratio = ds.total_bids() as f64 / ds.total_auctions() as f64;
+        let ratio = bids as f64 / auctions as f64;
         assert!(ratio < 1.5, "bids/auction {ratio}");
     }
 }

@@ -7,8 +7,7 @@
 //! [`Interner`]. Chunks are self-contained — they can cross thread (or,
 //! serialized, machine) boundaries without referencing any campaign-wide
 //! state — and carry a deterministic `(day, shard, seq)` key so any
-//! collection of chunks merges into the same dataset regardless of the
-//! order it was produced in.
+//! consumer can tell where it sits in the campaign's stream order.
 
 use crate::dataset::TruthRecord;
 use hb_core::{
@@ -154,19 +153,20 @@ fn truth_facet_from_tag(tag: u8) -> Result<&'static str, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{crawl_shard, CampaignConfig};
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use crate::campaign::{run_campaign_streamed, CampaignConfig};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory};
 
     /// Chunks from a real tiny crawl survive the wire byte-for-byte:
     /// identical key, interner numbering, visit rows and truths.
     #[test]
     fn real_chunks_round_trip_the_wire() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
             chunk_visits: 37,
             ..CampaignConfig::default()
         };
-        let chunks = crawl_shard(eco.factory(), &cfg, 0);
+        let mut chunks = Vec::new();
+        run_campaign_streamed(&factory, &cfg, &mut |c| chunks.push(c));
         assert!(chunks.len() > 1, "want multiple chunks");
         for chunk in &chunks {
             let frame = chunk.encode();

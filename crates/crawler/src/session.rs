@@ -69,26 +69,6 @@ impl VisitScratch {
     }
 }
 
-/// Crawl one site once. Strings in the resulting record are interned into
-/// `strings` — per campaign, each worker passes its own interner and the
-/// collector re-interns into the campaign-wide one.
-///
-/// Convenience wrapper over [`crawl_site_pooled`] that builds (and drops)
-/// a fresh [`VisitScratch`]; tests and examples use this, the campaign
-/// keeps one scratch per worker.
-pub fn crawl_site(
-    net: Net,
-    runtime: SiteRuntime,
-    list: Arc<PartnerList>,
-    rng: Rng,
-    day: u32,
-    cfg: &SessionConfig,
-    strings: &mut Interner,
-) -> SiteVisit {
-    let mut scratch = VisitScratch::new(list);
-    crawl_site_pooled(net, Arc::new(runtime), rng, day, cfg, strings, &mut scratch)
-}
-
 /// Outcome flags of one visit appended through [`crawl_site_into`].
 #[derive(Clone, Copy, Debug)]
 pub struct VisitOutcome {
@@ -145,32 +125,38 @@ fn simulate_visit(
     }
 }
 
-/// [`crawl_site`] over a worker-owned [`VisitScratch`]: the browser,
-/// detector state and message buffers are reused from the previous visit
-/// on this worker, so a steady-state visit performs near-zero transient
-/// allocation outside the payloads that escape into the returned
-/// [`SiteVisit`].
-pub fn crawl_site_pooled(
+/// Crawl one site once, on a fresh [`VisitScratch`], and return the
+/// detector's row together with the full simulation ground truth.
+///
+/// This is the one-visit inspection API (tests, examples, validation):
+/// unlike the campaign's columnar path it keeps fields the columns do not
+/// carry, such as the winners and the ad-server response time. Strings in
+/// the record are interned into `strings`.
+pub fn crawl_site(
     net: Net,
-    runtime: Arc<SiteRuntime>,
+    runtime: SiteRuntime,
+    list: Arc<PartnerList>,
     rng: Rng,
     day: u32,
     cfg: &SessionConfig,
     strings: &mut Interner,
-    scratch: &mut VisitScratch,
 ) -> SiteVisit {
-    let rank = runtime.rank;
-    let domain = runtime.page_url.host.clone();
-    let outcome = simulate_visit(net, &runtime, rng, cfg, scratch);
+    let mut scratch = VisitScratch::new(list);
+    let runtime = Arc::new(runtime);
+    let outcome = simulate_visit(net, &runtime, rng, cfg, &mut scratch);
     let world = scratch.sim.as_mut().expect("simulated").world_mut();
     let page_load_ms = world
         .browser
         .page
         .page_load_time()
         .map(|d| d.as_millis_f64());
-    let record = scratch.detector.finish(&domain, rank, day, page_load_ms, strings);
-    // Only the ground truth leaves the world; the simulation (browser,
-    // pools, event storage) stays in the scratch for the next visit.
+    let record = scratch.detector.finish(
+        &runtime.page_url.host,
+        runtime.rank,
+        day,
+        page_load_ms,
+        strings,
+    );
     SiteVisit {
         record,
         truth: std::mem::take(&mut world.flow.truth),
@@ -274,63 +260,53 @@ mod tests {
     #[test]
     fn pooled_visits_match_one_shot_visits() {
         // The invariant behind the campaign's pooled path: a worker's
-        // Nth reused-scratch visit must simulate identically to a fresh
-        // one-shot crawl of the same (site, day). Catches any state a
-        // future Browser/HbDetector field leaks across reset_for_visit /
-        // reset.
+        // Nth reused-scratch visit must append exactly the row and truth
+        // a fresh scratch appends for the same (site, day). Catches any
+        // state a future Browser/HbDetector field leaks across
+        // reset_for_visit / reset.
         let eco = eco();
-        let mut scratch = VisitScratch::new(eco.partner_list());
+        let cfg = SessionConfig::default();
+        let mut reused = VisitScratch::new(eco.partner_list());
         let sites: Vec<_> = eco
             .hb_sites()
             .take(3)
             .chain(eco.sites().iter().filter(|s| s.facet.is_none()).take(2))
             .collect();
+        let crawl = |rank: u32, day: u32, scratch: &mut VisitScratch| {
+            let mut strings = Interner::new();
+            let mut cols = VisitColumns::new();
+            let mut truths = Vec::new();
+            let outcome = crawl_site_into(
+                eco.net(),
+                eco.runtime_shared(rank),
+                eco.visit_rng(rank, day),
+                day,
+                &cfg,
+                &mut strings,
+                scratch,
+                &mut cols,
+                &mut truths,
+            );
+            assert_eq!(cols.len(), 1);
+            assert_eq!(truths.len(), 1);
+            (
+                outcome.page_completed,
+                format!("{:?}", cols.get(0).to_record()),
+                format!("{:?}", truths[0]),
+                strings,
+            )
+        };
         for (day, site) in sites.into_iter().enumerate() {
             let day = day as u32;
-            let mut pooled_strings = Interner::new();
-            let pooled = crawl_site_pooled(
-                eco.net(),
-                eco.runtime_shared(site.rank),
-                eco.visit_rng(site.rank, day),
-                day,
-                &SessionConfig::default(),
-                &mut pooled_strings,
-                &mut scratch,
-            );
-            let mut fresh_strings = Interner::new();
-            let fresh = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, day),
-                day,
-                &SessionConfig::default(),
-                &mut fresh_strings,
-            );
-            assert_eq!(pooled.record.hb_detected, fresh.record.hb_detected);
-            assert_eq!(pooled.record.facet, fresh.record.facet);
-            assert_eq!(pooled.record.hb_latency_ms, fresh.record.hb_latency_ms);
-            assert_eq!(pooled.record.page_load_ms, fresh.record.page_load_ms);
-            assert_eq!(pooled.record.bids.len(), fresh.record.bids.len());
-            assert_eq!(pooled.record.slots.len(), fresh.record.slots.len());
-            assert_eq!(pooled.page_completed, fresh.page_completed);
-            assert_eq!(pooled.truth.client_bids, fresh.truth.client_bids);
-            assert_eq!(pooled.truth.late_bids, fresh.truth.late_bids);
-            assert_eq!(pooled.truth.winners, fresh.truth.winners);
-            assert_eq!(
-                pooled.truth.adserver_response_at,
-                fresh.truth.adserver_response_at
-            );
-            assert_eq!(
-                pooled.truth.waterfall_latency,
-                fresh.truth.waterfall_latency
-            );
-            // Symbol numbering matches because both sides interned the
-            // same strings into fresh interners in the same order.
-            assert_eq!(pooled.record.partners.len(), fresh.record.partners.len());
-            for (a, b) in pooled.record.partners.iter().zip(&fresh.record.partners) {
-                assert_eq!(pooled_strings.resolve(*a), fresh_strings.resolve(*b));
-            }
+            let (done_a, row_a, truth_a, strings_a) = crawl(site.rank, day, &mut reused);
+            let mut fresh = VisitScratch::new(eco.partner_list());
+            let (done_b, row_b, truth_b, strings_b) = crawl(site.rank, day, &mut fresh);
+            assert_eq!(done_a, done_b, "{}", site.domain);
+            // Both sides interned into fresh interners, so identical rows
+            // carry identical symbol ids — and the tables agree too.
+            assert_eq!(row_a, row_b, "{}", site.domain);
+            assert_eq!(truth_a, truth_b, "{}", site.domain);
+            assert!(strings_a.iter().eq(strings_b.iter()));
         }
     }
 

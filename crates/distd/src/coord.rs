@@ -747,8 +747,15 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_crawler::{crawl_shard, CampaignConfig};
-    use hb_ecosystem::Ecosystem;
+    use hb_crawler::{run_campaign_streamed, CampaignConfig};
+    use hb_ecosystem::{Ecosystem, SiteFactory};
+
+    /// The whole campaign's chunks, in stream order.
+    fn campaign_chunks(factory: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+        let mut chunks = Vec::new();
+        run_campaign_streamed(factory, cfg, &mut |c| chunks.push(c));
+        chunks
+    }
 
     fn tiny_cfg() -> CoordConfig {
         CoordConfig {
@@ -767,7 +774,7 @@ mod tests {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let chunks = crawl_shard(eco.factory(), &campaign, 0);
+        let chunks = campaign_chunks(eco.factory(), &campaign);
         let mut st = initial_state(&cfg);
         // Submit out of order within the window: reverse each day's run.
         let mut folded_keys = Vec::new();
@@ -808,7 +815,7 @@ mod tests {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let chunks = crawl_shard(eco.factory(), &campaign, 0);
+        let chunks = campaign_chunks(eco.factory(), &campaign);
         let mut st = initial_state(&cfg);
         let mut n = 0usize;
         let mut sink = |_c: VisitChunk| n += 1;
@@ -877,7 +884,7 @@ mod tests {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let chunks = crawl_shard(eco.factory(), &campaign, 0);
+        let chunks = campaign_chunks(eco.factory(), &campaign);
         assert!(chunks.len() >= 3, "need ≥ 3 day-0 blocks for a batch");
         let mut st = initial_state(&cfg);
         let Msg::Lease { lease_id, blocks } = grant(&mut st, &cfg) else {
@@ -946,7 +953,7 @@ mod tests {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let mut chunk = crawl_shard(eco.factory(), &campaign, 0)[0].clone();
+        let mut chunk = campaign_chunks(eco.factory(), &campaign)[0].clone();
         chunk.shard = 9; // no such shard in a 1-shard schedule
         let mut st = initial_state(&cfg);
         assert!(matches!(

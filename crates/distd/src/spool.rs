@@ -349,8 +349,15 @@ pub fn segment_path(dir: &Path, n: u64) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_crawler::{crawl_shard, CampaignConfig};
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_crawler::{run_campaign_streamed, CampaignConfig};
+    use hb_ecosystem::{Ecosystem, EcosystemConfig, SiteFactory};
+
+    /// The whole campaign's chunks, in stream order.
+    fn campaign_chunks(factory: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
+        let mut chunks = Vec::new();
+        run_campaign_streamed(factory, cfg, &mut |c| chunks.push(c));
+        chunks
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hb-distd-spool-{tag}-{}", std::process::id()));
@@ -364,7 +371,7 @@ mod tests {
             chunk_visits: 64,
             ..CampaignConfig::default()
         };
-        crawl_shard(eco.factory(), &cfg, 0)
+        campaign_chunks(eco.factory(), &cfg)
     }
 
     #[test]
@@ -463,7 +470,7 @@ mod tests {
             chunk_visits: 2,
             ..CampaignConfig::default()
         };
-        let chunks = crawl_shard(eco.factory(), &cfg, 0);
+        let chunks = campaign_chunks(eco.factory(), &cfg);
         assert!(
             chunks.len() >= 100,
             "need an acceptance-scale spool, got {} chunks",

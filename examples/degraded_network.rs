@@ -9,9 +9,8 @@ use hb_repro::prelude::*;
 use hb_repro::simnet::{Dist, HostFaultProfile, LatencyModel};
 
 fn crawl(label: &str, cfg: EcosystemConfig) -> (String, DatasetIndex) {
-    let eco = Ecosystem::generate(cfg);
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    (label.to_string(), DatasetIndex::build(&ds))
+    let index = DatasetIndex::from_campaign(&SiteFactory::new(cfg), &CampaignConfig::default());
+    (label.to_string(), index)
 }
 
 fn main() {

@@ -10,10 +10,8 @@ use hb_repro::prelude::*;
 fn main() {
     let eco = Ecosystem::generate(EcosystemConfig::test_scale());
     println!("crawling {} sites for latency analysis…", eco.sites().len());
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-
-    // Build the columnar index once; every figure reads it.
-    let ix = DatasetIndex::build(&ds);
+    // Stream the campaign into the columnar index; every figure reads it.
+    let ix = DatasetIndex::from_campaign(eco.factory(), &CampaignConfig::default());
     for report in [
         latency::f12_latency_ecdf(&ix),
         latency::f13_latency_vs_rank(&ix),

@@ -80,7 +80,6 @@ fn main() {
 
     // Population-level comparison over a full campaign.
     println!("\nrunning the full campaign for the population comparison…");
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    let ix = hb_repro::analysis::DatasetIndex::build(&ds);
+    let ix = DatasetIndex::from_campaign(eco.factory(), &CampaignConfig::default());
     print!("{}", waterfall_cmp::x01_waterfall_compare(&ix).render());
 }

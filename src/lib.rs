@@ -13,7 +13,7 @@
 //! | ad-tech | [`adtech`] | partners, RTB, ad server, HB wrapper, waterfall |
 //! | **detector** | [`core`] | **HBDetector — the paper's contribution** |
 //! | universe | [`ecosystem`] | 84-partner catalog, publishers, toplists, Wayback |
-//! | harness | [`crawler`] | sessions, campaigns, datasets |
+//! | harness | [`crawler`] | sessions, streamed campaigns, dataset CSVs |
 //! | statistics | [`stats`] | ECDF, quantiles, whiskers, tables |
 //! | figures | [`analysis`] | every table/figure regenerated as a report |
 //! | serving | [`serve`] | auction orchestrator: budgets, breakers, hedging, shedding |
@@ -23,10 +23,10 @@
 //! ```
 //! use hb_repro::prelude::*;
 //!
-//! // A 200-site universe, crawled once, indexed once for the figures.
-//! let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-//! let dataset = run_campaign(&eco, &CampaignConfig::default());
-//! let index = hb_repro::analysis::DatasetIndex::build(&dataset);
+//! // A 200-site universe, crawled once and streamed chunk by chunk into
+//! // the columnar index every figure reads.
+//! let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
+//! let index = DatasetIndex::from_campaign(&factory, &CampaignConfig::default());
 //! let summary = hb_repro::analysis::summary::t1_summary(&index);
 //! assert!(summary.metric("websites_with_hb").unwrap() > 0.0);
 //! ```
@@ -47,13 +47,13 @@ pub use hb_stats as stats;
 pub mod prelude {
     pub use hb_adtech::{AdSize, AdUnit, Cpm, HbFacet, RobustnessPolicy};
     pub use hb_analysis::{
-        all_reports, dataset_reports, fault_reports, DatasetIndex, DatasetIndexBuilder,
-        FaultSlice, FigureReport,
+        all_reports, fault_reports, indexed_reports, DatasetIndex, DatasetIndexBuilder, FaultSlice,
+        FigureReport,
     };
     pub use hb_core::{HbDetector, Interner, PartnerList, Symbol, VisitRecord};
     pub use hb_crawler::{
-        adoption_study, crawl_site, overlap_study, run_campaign, run_campaign_streamed,
-        CampaignConfig, CrawlDataset, SessionConfig, ShardSpec, VisitChunk,
+        adoption_study, crawl_site, overlap_study, run_campaign_streamed, CampaignConfig,
+        DatasetWriter, SessionConfig, ShardSpec, VisitChunk,
     };
     pub use hb_ecosystem::{
         Ecosystem, EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory,

@@ -3,28 +3,29 @@
 
 mod common;
 
-use common::{dataset, ecosystem};
+use common::{ecosystem, for_each_chunk};
 use hb_repro::core::Interner;
 use hb_repro::prelude::*;
 
 #[test]
 fn facet_classification_is_accurate() {
     let eco = ecosystem();
-    let ds = dataset();
     let truth: std::collections::BTreeMap<&str, &str> = eco
         .hb_sites()
         .map(|s| (s.domain.as_str(), s.facet.unwrap().label()))
         .collect();
     let mut checked = 0;
     let mut correct = 0;
-    for v in ds.visits.iter().filter(|v| v.day == 0 && v.hb_detected) {
-        if let (Some(expected), Some(got)) = (truth.get(ds.str(v.domain)), v.facet) {
-            checked += 1;
-            if got.label() == *expected {
-                correct += 1;
+    for_each_chunk(|c| {
+        for v in c.visits.iter().filter(|v| v.day == 0 && v.hb_detected) {
+            if let (Some(expected), Some(got)) = (truth.get(c.strings.resolve(v.domain)), v.facet) {
+                checked += 1;
+                if got.label() == *expected {
+                    correct += 1;
+                }
             }
         }
-    }
+    });
     assert!(checked > 100, "checked {checked}");
     let accuracy = correct as f64 / checked as f64;
     assert!(accuracy > 0.97, "facet accuracy {accuracy}");

@@ -3,10 +3,13 @@
 //! campaign-level degraded-network scenarios must stay deterministic
 //! across parallelism and sharding.
 
+mod common;
+
+use common::stressed_scenario;
 use hb_repro::adtech::{HbFacet, Net};
 use hb_repro::core::Interner;
 use hb_repro::prelude::*;
-use hb_repro::simnet::{Dist, FaultInjector, HostFaultProfile};
+use hb_repro::simnet::FaultInjector;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -145,54 +148,31 @@ fn ambient_fault_profile_keeps_campaign_sound() {
     cfg.drop_chance = 0.05;
     cfg.slow_chance = 0.15;
     let eco = Ecosystem::generate(cfg);
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    for v in ds.hb_visits() {
-        assert!(v.slots_auctioned <= 60);
-        for b in &v.bids {
-            assert!(b.cpm >= 0.0);
-            assert!(!ds.str(b.bidder_code).is_empty());
-        }
-    }
-    // Precision is preserved even under faults.
     let truth: std::collections::BTreeSet<&str> =
         eco.hb_sites().map(|s| s.domain.as_str()).collect();
-    for v in ds.visits.iter().filter(|v| v.hb_detected) {
-        assert!(truth.contains(ds.str(v.domain)));
-    }
+    run_campaign_streamed(eco.factory(), &CampaignConfig::default(), &mut |c| {
+        for v in c.visits.iter().filter(|v| v.hb_detected) {
+            assert!(v.slots_auctioned <= 60);
+            for b in v.bids {
+                assert!(b.cpm >= 0.0);
+                assert!(!c.strings.resolve(b.bidder_code).is_empty());
+            }
+            // Precision is preserved even under faults.
+            assert!(truth.contains(c.strings.resolve(v.domain)));
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Degraded-network campaign scenarios
 // ---------------------------------------------------------------------------
 
-/// A stressed scenario touching every axis: one partner tier with a lossy
-/// ambient profile, one partner hard-down on day 1, a congested link to a
-/// third, and the ad path running its degraded robustness posture.
-fn stressed_scenario(eco_cfg: &EcosystemConfig) -> ScenarioConfig {
-    let specs = hb_repro::ecosystem::catalog::catalog();
-    ScenarioConfig::healthy()
-        .with_host_profile(
-            specs[0].host(),
-            HostFaultProfile {
-                drop_chance: 0.20,
-                slow_chance: 0.30,
-                slow_penalty_ms: Dist::Const(900.0),
-            },
-        )
-        .with_outage(specs[1].host(), 1, eco_cfg.crawl_days)
-        .with_degraded_link(
-            specs[2].host(),
-            hb_repro::simnet::LatencyModel::constant(1_200.0),
-        )
-        .with_robustness(RobustnessPolicy::degraded_defaults())
-}
-
 /// Figure bytes of a campaign: every paper report plus the fault-slice
 /// family, rendered and CSV-dumped.
-fn figure_bytes(ds: &CrawlDataset) -> String {
-    let ix = DatasetIndex::build(ds);
+fn figure_bytes(eco: &Ecosystem, cfg: &CampaignConfig) -> String {
+    let ix = DatasetIndex::from_campaign(eco.factory(), cfg);
     let mut out = String::new();
-    for r in dataset_reports(ds).iter().chain(fault_reports(&ix).iter()) {
+    for r in indexed_reports(&ix).iter().chain(fault_reports(&ix).iter()) {
         let _ = write!(out, "==== {} ====\n{}\n{}\n", r.id, r.render(), r.to_csv());
     }
     out
@@ -263,30 +243,30 @@ fn scenario_campaign_bytes_identical_across_parallelism_and_shards() {
     let cfg = base.clone().with_scenario(stressed_scenario(&base));
     let eco = Ecosystem::generate(cfg);
 
-    let p1 = figure_bytes(&run_campaign(
+    let p1 = figure_bytes(
         &eco,
         &CampaignConfig {
             parallelism: 1,
             ..CampaignConfig::default()
         },
-    ));
-    let p8 = figure_bytes(&run_campaign(
+    );
+    let p8 = figure_bytes(
         &eco,
         &CampaignConfig {
             parallelism: 8,
             ..CampaignConfig::default()
         },
-    ));
+    );
     assert_eq!(p1, p8, "figure bytes differ between parallelism 1 and 8");
 
-    let s4 = figure_bytes(&run_campaign(
+    let s4 = figure_bytes(
         &eco,
         &CampaignConfig {
             shards: 4,
-            chunk_visits: 17, // odd block size to stress the merge
+            chunk_visits: 17, // odd block size to stress the fold order
             ..CampaignConfig::default()
         },
-    ));
+    );
     assert_eq!(p1, s4, "figure bytes differ between 1 and 4 shards");
 }
 
@@ -311,8 +291,7 @@ fn outage_window_confines_timeouts_to_scheduled_days() {
             .with_robustness(RobustnessPolicy::degraded_defaults()),
     );
     let eco = Ecosystem::generate(cfg);
-    let ds = run_campaign(&eco, &CampaignConfig::default());
-    let ix = DatasetIndex::build(&ds);
+    let ix = DatasetIndex::from_campaign(eco.factory(), &CampaignConfig::default());
 
     let timeouts_on = |day: u32| -> u32 {
         (0..ix.n_hb_visits())
