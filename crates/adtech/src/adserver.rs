@@ -11,6 +11,7 @@ use crate::partner::PartnerProfile;
 use crate::protocol::{self, params, FillChannel, WinnerPayload};
 use crate::rtb::first_price_winner;
 use crate::types::{AdSize, AdUnit, Cpm};
+use hb_http::hstr::Piece;
 use hb_http::{Endpoint, HStr, Request, Response, ServerReply};
 use hb_simnet::{Rng, SimDuration};
 use hb_simnet::FxHashMap;
@@ -225,11 +226,12 @@ where
                     bidder: partner.bidder_code.clone(),
                     cpm,
                     size: unit.primary_size(),
-                    ad_id: HStr::from_display(format_args!(
-                        "s2s-{}-{}",
-                        partner.bidder_code,
-                        rng.below(1_000_000)
-                    )),
+                    ad_id: HStr::concat(&[
+                        Piece::Text("s2s-"),
+                        Piece::Text(&partner.bidder_code),
+                        Piece::Text("-"),
+                        Piece::Int(rng.below(1_000_000)),
+                    ]),
                 });
             }
         }
@@ -325,25 +327,29 @@ impl AdServerEndpoint {
                 }
             }
         }
-        // Which units to decision: the request may restrict slots. The
-        // query is scanned once per unit to fill a selection bitmask; the
-        // restricted view stays a borrowed filter over the account's
-        // units (no cloned Vec<AdUnit> per request). Iteration order is
-        // the account order either way, so the RNG draw sequence — and
-        // with it every figure byte — is unchanged. (u128 covers any
-        // realistic slot count; a >128-unit account would simply treat
-        // the overflow units as selected, matching the unrestricted
-        // common case.)
-        let restricted = req.url.query.get_all(params::HB_SLOT).next().is_some();
-        let mut mask: u128 = !0;
-        if restricted {
-            debug_assert!(account.ad_units.len() <= 128, "selection mask overflow");
-            mask = 0;
+        // Which units to decision: the request may restrict slots. Each
+        // requested slot marks every unit with its code in a selection
+        // bitmask (one pass over the query); the restricted view stays a
+        // borrowed filter over the account's units (no cloned
+        // Vec<AdUnit> per request). Iteration order is the account order
+        // either way, so the RNG draw sequence — and with it every figure
+        // byte — is unchanged. (u128 covers any realistic slot count; a
+        // >128-unit account would simply treat the overflow units as
+        // selected, matching the unrestricted common case.)
+        let mut restricted = false;
+        let mut mask: u128 = 0;
+        for requested in req.url.query.get_all(params::HB_SLOT) {
+            restricted = true;
             for (i, u) in account.ad_units.iter().enumerate().take(128) {
-                if req.url.query.get_all(params::HB_SLOT).any(|r| u.code == r) {
+                if u.code == requested {
                     mask |= 1 << i;
                 }
             }
+        }
+        if restricted {
+            debug_assert!(account.ad_units.len() <= 128, "selection mask overflow");
+        } else {
+            mask = !0;
         }
         let all_units = &account.ad_units;
         let selected = move || {

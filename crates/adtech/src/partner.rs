@@ -9,6 +9,7 @@
 use crate::rtb::InternalAuction;
 use crate::types::{AdSize, Cpm};
 use crate::protocol::{self, params, BidPayload};
+use hb_http::hstr::Piece;
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply};
 use hb_simnet::{Dist, LatencyModel, Rng, SimDuration};
 
@@ -172,7 +173,11 @@ fn handle_bid(profile: &PartnerProfile, req: &Request, rng: &mut Rng) -> ServerR
         .unwrap_or(&empty);
     let mut bids = Vec::new();
     for slot in slots {
-        let code = HStr::new(slot.get("code").and_then(|c| c.as_str()).unwrap_or(""));
+        let code = slot
+            .get("code")
+            .and_then(Json::as_hstr)
+            .cloned()
+            .unwrap_or(HStr::EMPTY);
         let size = slot
             .get("size")
             .and_then(|s| s.as_str())
@@ -184,11 +189,12 @@ fn handle_bid(profile: &PartnerProfile, req: &Request, rng: &mut Rng) -> ServerR
                 slot: code,
                 cpm,
                 size,
-                ad_id: HStr::from_display(format_args!(
-                    "cr-{}-{}",
-                    profile.bidder_code,
-                    rng.below(1_000_000)
-                )),
+                ad_id: HStr::concat(&[
+                    Piece::Text("cr-"),
+                    Piece::Text(&profile.bidder_code),
+                    Piece::Text("-"),
+                    Piece::Int(rng.below(1_000_000)),
+                ]),
                 currency: HStr::from_static("USD"),
             });
         }
@@ -210,7 +216,7 @@ pub fn bid_request_body(slots: &[(HStr, AdSize)]) -> Json {
         Json::arr(slots.iter().map(|(code, size)| {
             Json::obj([
                 ("code", Json::str(code.clone())),
-                ("size", Json::str(HStr::from_display(*size))),
+                ("size", Json::str(size.label())),
             ])
         })),
     )])

@@ -8,6 +8,7 @@
 //! payload builders/parsers used by wrapper, partners and ad server.
 
 use crate::types::{AdSize, Cpm};
+use hb_http::hstr::Piece;
 use hb_http::{HStr, Json, QueryParams};
 
 /// DOM events fired by the wrapper / ad-manager tag (paper §3.1).
@@ -109,11 +110,11 @@ impl BidPayload {
     pub fn to_json(&self) -> Json {
         Json::obj([
             (params::BIDDER, Json::str(self.bidder.clone())),
-            (params::HB_SLOT, Json::str(self.slot.clone())),
             (params::CPM, Json::num(self.cpm.0)),
-            (params::HB_SIZE, Json::str(HStr::from_display(self.size))),
             (params::HB_ADID, Json::str(self.ad_id.clone())),
             (params::HB_CURRENCY, Json::str(self.currency.clone())),
+            (params::HB_SIZE, Json::str(self.size.label())),
+            (params::HB_SLOT, Json::str(self.slot.clone())),
         ])
     }
 
@@ -139,8 +140,8 @@ impl BidPayload {
 /// The bid-response body: `{"hb_auction": id, "bids": [...]}`.
 pub fn bid_response_body(auction_id: &str, bids: &[BidPayload]) -> Json {
     Json::obj([
-        (params::HB_AUCTION, Json::str(auction_id)),
         ("bids", Json::arr(bids.iter().map(BidPayload::to_json))),
+        (params::HB_AUCTION, Json::str(auction_id)),
     ])
 }
 
@@ -211,19 +212,28 @@ impl FillChannel {
 
 impl WinnerPayload {
     /// Encode as JSON. HB winners carry the full `hb_*` targeting echo,
-    /// which is exactly what the detector scans for in responses.
+    /// which is exactly what the detector scans for in responses. Keys
+    /// are listed in ascending order so the builder never re-sorts.
     pub fn to_json(&self) -> Json {
-        let mut j = Json::obj([
-            (params::HB_SLOT, Json::str(self.slot.clone())),
-            ("channel", Json::str(self.channel.label())),
-            (params::HB_SIZE, Json::str(HStr::from_display(self.size))),
-        ]);
+        let channel = Json::str(HStr::from_static(self.channel.label()));
+        let size = Json::str(self.size.label());
+        let slot = Json::str(self.slot.clone());
         if self.channel == FillChannel::HeaderBid {
-            j.insert(params::HB_BIDDER, Json::str(self.bidder.clone()));
-            j.insert(params::HB_PB, Json::str(self.pb.to_param()));
-            j.insert(params::HB_ADID, Json::str(self.ad_id.clone()));
+            Json::obj([
+                ("channel", channel),
+                (params::HB_ADID, Json::str(self.ad_id.clone())),
+                (params::HB_BIDDER, Json::str(self.bidder.clone())),
+                (params::HB_PB, Json::str(self.pb.to_param())),
+                (params::HB_SIZE, size),
+                (params::HB_SLOT, slot),
+            ])
+        } else {
+            Json::obj([
+                ("channel", channel),
+                (params::HB_SIZE, size),
+                (params::HB_SLOT, slot),
+            ])
         }
-        j
     }
 
     /// Decode from JSON. Like [`BidPayload::from_json`], shares the
@@ -263,7 +273,7 @@ pub fn ad_server_response_body(auction_id: &str, winners: &[WinnerPayload]) -> J
 
 /// Parse an ad-server response body.
 pub fn parse_ad_server_response(body: &Json) -> Option<(HStr, Vec<WinnerPayload>)> {
-    let auction = HStr::new(body.get(params::HB_AUCTION)?.as_str()?);
+    let auction = body.get(params::HB_AUCTION)?.as_hstr()?.clone();
     let winners = body
         .get("winners")?
         .as_arr()?
@@ -279,7 +289,7 @@ pub fn bid_request_params(auction_id: &str, bidder: &str, n_slots: usize) -> Que
     q.append(params::HB_AUCTION, auction_id);
     q.append(params::HB_BIDDER, bidder);
     q.append(params::HB_SOURCE, "client");
-    q.append("slots", HStr::from_display(n_slots));
+    q.append("slots", HStr::concat(&[Piece::Int(n_slots as u64)]));
     q
 }
 

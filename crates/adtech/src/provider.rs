@@ -22,6 +22,7 @@ use crate::partner::bid_request_body;
 use crate::protocol::{self, params, paths, BidPayload, WinnerPayload};
 use crate::types::{AdSize, AdUnit, Cpm};
 use crate::wrapper::SiteRuntime;
+use hb_http::hstr::Piece;
 use hb_http::{Body, QueryParams, Request, RequestId, Response, Status, Url};
 use hb_simnet::HStr;
 
@@ -83,7 +84,7 @@ pub fn providers_for(rt: &SiteRuntime) -> Vec<ProviderSpec> {
     for t in &rt.waterfall_tiers {
         out.push(ProviderSpec {
             code: t.partner.code.clone(),
-            host: HStr::from_display(format_args!("rtb.{}", t.partner.host)),
+            host: HStr::concat(&[Piece::Text("rtb."), Piece::Text(&t.partner.host)]),
             kind: ProviderKind::Waterfall { floor: t.floor },
         });
     }
@@ -148,8 +149,8 @@ pub fn mediation_request(
 pub fn tier_request(id: RequestId, rtb_host: &HStr, floor: Cpm, size: AdSize, cb: u64) -> Request {
     let mut q = QueryParams::new();
     q.append("floor", floor.to_param());
-    q.append("size", HStr::from_display(size));
-    q.append("cb", HStr::from_display(cb));
+    q.append("size", size.label());
+    q.append("cb", HStr::concat(&[Piece::Int(cb)]));
     let url = Url::https_pooled(rtb_host.clone(), HStr::from_static(paths::RTB_AD), q);
     Request::get(id, url).from_initiator("hb-serve")
 }

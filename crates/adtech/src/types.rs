@@ -1,5 +1,6 @@
 //! Shared ad-tech domain types: ad sizes, CPM prices, facets, ad units.
 
+use hb_http::hstr::Piece;
 use hb_http::HStr;
 use std::fmt;
 
@@ -23,13 +24,72 @@ impl AdSize {
         self.w as u64 * self.h as u64
     }
 
-    /// Parse from `"300x250"` notation.
+    /// Parse from `"300x250"` notation. Plain `digitsxdigits` text (every
+    /// label this crate writes) is read byte by byte; anything else —
+    /// padding, signs, overlong numbers — goes through the general
+    /// trimming parser, so both paths accept exactly the same inputs.
     pub fn parse(s: &str) -> Option<AdSize> {
+        if let Some(size) = Self::parse_plain(s.as_bytes()) {
+            return Some(size);
+        }
         let (w, h) = s.split_once('x')?;
         Some(AdSize {
             w: w.trim().parse().ok()?,
             h: h.trim().parse().ok()?,
         })
+    }
+
+    /// `WxH` with both sides 1–9 ASCII digits (no `u32` overflow
+    /// possible); `None` sends the caller to the general parser.
+    fn parse_plain(b: &[u8]) -> Option<AdSize> {
+        fn digits(b: &[u8]) -> Option<u32> {
+            if b.is_empty() || b.len() > 9 {
+                return None;
+            }
+            b.iter().try_fold(0u32, |n, &c| {
+                c.is_ascii_digit().then(|| n * 10 + u32::from(c - b'0'))
+            })
+        }
+        let x = b.iter().position(|&c| c == b'x')?;
+        Some(AdSize {
+            w: digits(&b[..x])?,
+            h: digits(&b[x + 1..])?,
+        })
+    }
+
+    /// The `"WxH"` wire label as a static string, for every size the
+    /// ecosystem's size tables and this type's constants produce;
+    /// `None` for any other size.
+    pub const fn catalog_label(&self) -> Option<&'static str> {
+        Some(match (self.w, self.h) {
+            (300, 250) => "300x250",
+            (728, 90) => "728x90",
+            (300, 600) => "300x600",
+            (320, 50) => "320x50",
+            (970, 250) => "970x250",
+            (160, 600) => "160x600",
+            (336, 280) => "336x280",
+            (970, 90) => "970x90",
+            (320, 100) => "320x100",
+            (468, 60) => "468x60",
+            (320, 320) => "320x320",
+            (100, 200) => "100x200",
+            (120, 600) => "120x600",
+            (300, 50) => "300x50",
+            _ => return None,
+        })
+    }
+
+    /// The `"WxH"` wire label: the static [`catalog_label`] when there
+    /// is one, the [`Display`](fmt::Display) rendering otherwise. Equal
+    /// to `self.to_string()` for every size.
+    ///
+    /// [`catalog_label`]: AdSize::catalog_label
+    pub fn label(&self) -> HStr {
+        match self.catalog_label() {
+            Some(label) => HStr::from_static(label),
+            None => HStr::from_display(self),
+        }
     }
 
     /// The medium rectangle (side banner) — the web's most common slot.
@@ -77,9 +137,25 @@ impl Cpm {
         Cpm((self.0 / granularity + 1e-9).floor() * granularity)
     }
 
-    /// Render as the ad-server string form (2 decimals). Stays on the
-    /// stack: the rendered form is at most a few bytes.
+    /// Render as the ad-server string form (2 decimals, the bytes of
+    /// `format!("{:.2}")`). Stays on the stack: the rendered form is at
+    /// most a few bytes.
+    ///
+    /// `{:.2}` rounds the exact binary value `x` to the nearest cent,
+    /// so a non-negative price is written as `k` cents directly whenever
+    /// the computed `x * 100` lies within 0.499 of an integer `k < 1e12`:
+    /// the product's rounding error there is below 0.0001, so the exact
+    /// cent count is strictly closer to `k` than to any half-cent tie,
+    /// and `{:.2}` prints `k / 100` too. Anything else (near-ties,
+    /// negatives including `-0.0`, NaN, huge values) is formatted.
     pub fn to_param(&self) -> HStr {
+        let cents = self.0 * 100.0;
+        let k = cents.round();
+        if self.0.is_sign_positive() && k < 1e12 && (cents - k).abs() < 0.499 {
+            let k = k as u64;
+            let point = if k % 100 < 10 { ".0" } else { "." };
+            return HStr::concat(&[Piece::Int(k / 100), Piece::Text(point), Piece::Int(k % 100)]);
+        }
         HStr::from_display(format_args!("{:.2}", self.0))
     }
 
@@ -268,6 +344,49 @@ mod tests {
         assert_eq!(Cpm::parse("-1"), None);
         assert_eq!(Cpm::parse("nan"), None);
         assert_eq!(Cpm::parse("abc"), None);
+    }
+
+    #[test]
+    fn cpm_param_matches_format_on_every_cent_and_tie() {
+        let special = [
+            0.0,
+            -0.0,
+            0.005,
+            0.015,
+            0.125,
+            1e12,
+            1e15,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let cents = (0..200_000u32).flat_map(|k| {
+            let k = f64::from(k);
+            [
+                k / 100.0,
+                k * 0.01,
+                (k / 100.0).next_up(),
+                (2.0 * k + 1.0) / 200.0,
+            ]
+        });
+        for v in special.into_iter().chain(cents) {
+            assert_eq!(Cpm(v).to_param(), format!("{v:.2}"), "price {v:e}");
+        }
+    }
+
+    #[test]
+    fn adsize_catalog_labels() {
+        for size in [
+            AdSize::MEDIUM_RECT,
+            AdSize::LEADERBOARD,
+            AdSize::HALF_PAGE,
+            AdSize::MOBILE_BANNER,
+            AdSize::BILLBOARD,
+            AdSize::SKYSCRAPER,
+        ] {
+            assert_eq!(size.catalog_label(), Some(size.to_string().as_str()));
+        }
+        assert_eq!(AdSize::new(301, 250).catalog_label(), None);
+        assert_eq!(AdSize::new(301, 250).label(), "301x250");
     }
 
     #[test]

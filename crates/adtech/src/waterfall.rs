@@ -17,6 +17,7 @@ use crate::rtb::InternalAuction;
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdSize, Cpm};
 use crate::wrapper::PartnerRef;
+use hb_http::hstr::Piece;
 use hb_http::{Endpoint, HStr, Json, Request, Response, ServerReply, Url};
 use hb_simnet::{Dist, Rng, Scheduler, SimDuration};
 
@@ -70,9 +71,9 @@ pub fn waterfall_endpoint(
                 match auction.run(rng) {
                     Some(clearing) if clearing.0 >= floor.0 => {
                         let body = Json::obj([
-                            ("price", Json::num(clearing.0)),
-                            ("size", Json::str(HStr::from_display(size))),
                             ("adm", Json::str(HStr::from_static("<creative/>"))),
+                            ("price", Json::num(clearing.0)),
+                            ("size", Json::str(size.label())),
                         ]);
                         ServerReply::after(Response::json(req.id, body), processing)
                     }
@@ -138,13 +139,16 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
         .unwrap_or(AdSize::MEDIUM_RECT);
     let mut q = w.scratch.take_params();
     q.append("floor", tier.floor.to_param());
-    q.append("size", HStr::from_display(size));
-    q.append("cb", HStr::from_display(w.rng.below(1_000_000_000)));
+    q.append("size", size.label());
+    q.append(
+        "cb",
+        HStr::concat(&[Piece::Int(w.rng.below(1_000_000_000))]),
+    );
     if attempt > 0 {
         q.append("rt", "1");
     }
     let url = Url::https_pooled(
-        HStr::from_display(format_args!("rtb.{}", tier.partner.host)),
+        HStr::concat(&[Piece::Text("rtb."), Piece::Text(&tier.partner.host)]),
         HStr::from_static(protocol::paths::RTB_AD),
         q,
     );
@@ -186,9 +190,12 @@ fn send_tier_request(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, idx: usize
                     HStr::from_static(pparam),
                     HStr::from_display(format_args!("{:.4}", price.0)),
                 );
-                q.append("cb", HStr::from_display(w.rng.below(1_000_000_000)));
+                q.append(
+                    "cb",
+                    HStr::concat(&[Piece::Int(w.rng.below(1_000_000_000))]),
+                );
                 let url = Url::https_pooled(
-                    HStr::from_display(format_args!("rtb.{}", tier.partner.host)),
+                    HStr::concat(&[Piece::Text("rtb."), Piece::Text(&tier.partner.host)]),
                     HStr::from_static(protocol::paths::RTB_NOTIFY),
                     q,
                 );

@@ -20,6 +20,7 @@ use crate::partner::bid_request_body;
 use crate::protocol::{self, events, params, BidPayload, FillChannel, WinnerPayload};
 use crate::session::{send_request, NetOutcome, PageWorld};
 use crate::types::{AdUnit, HbFacet};
+use hb_http::hstr::Piece;
 use hb_http::{Body, HStr, Json, Request, Url};
 use hb_simnet::{Scheduler, SimDuration, SimTime};
 use std::sync::Arc;
@@ -305,8 +306,13 @@ pub fn begin_visit(
 ) {
     let site = site.into();
     w.scratch.begin_visit();
-    let auction_id =
-        HStr::from_display(format_args!("auc-{}-{}", site.rank, w.rng.below(1_000_000_000)));
+    let nonce = w.rng.below(1_000_000_000);
+    let auction_id = HStr::concat(&[
+        Piece::Text("auc-"),
+        Piece::Int(u64::from(site.rank)),
+        Piece::Text("-"),
+        Piece::Int(nonce),
+    ]);
     w.rtt_scale = site.net_quality;
     w.flow.site = Some(site.clone());
     w.flow.auction_id = auction_id;
@@ -372,11 +378,11 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     // Event payloads are built from pooled spines and recycled as soon
     // as the listeners have seen them (listeners copy what they keep).
     let payload = Json::obj([
-        (params::HB_AUCTION, Json::str(auction_id.clone())),
         (
             "adUnitCodes",
             Json::arr(site.ad_units.iter().map(|u| Json::str(u.code.clone()))),
         ),
+        (params::HB_AUCTION, Json::str(auction_id.clone())),
         ("timestamp", Json::num(now.as_millis_f64())),
     ]);
     w.browser.fire_event(now, events::AUCTION_INIT, &payload);
@@ -406,7 +412,7 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         q.append(params::HB_AUCTION, auction_id.clone());
         q.append(params::HB_BIDDER, code.clone());
         q.append(params::HB_SOURCE, "client");
-        q.append("slots", HStr::from_display(slots.len()));
+        q.append("slots", HStr::concat(&[Piece::Int(slots.len() as u64)]));
         let url = Url::https_pooled(
             partner.host.clone(),
             HStr::from_static(protocol::paths::BID),
@@ -416,8 +422,8 @@ fn start_client_auction(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         let req = Request::post(id, url, Body::Json(bid_request_body(&slots)))
             .from_initiator("prebid.js");
         let payload = Json::obj([
-            (params::HB_BIDDER, Json::str(code.clone())),
             (params::HB_AUCTION, Json::str(auction_id.clone())),
+            (params::HB_BIDDER, Json::str(code.clone())),
         ]);
         w.browser.fire_event(s.now(), events::BID_REQUESTED, &payload);
         w.scratch.recycle_json(payload);
@@ -483,11 +489,11 @@ fn handle_bid_outcome(
                         }
                         let payload = Json::obj([
                             (params::BIDDER, Json::str(bid.bidder.clone())),
-                            (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
-                            (params::HB_SLOT, Json::str(bid.slot.clone())),
                             (params::CPM, Json::num(bid.cpm.0)),
-                            (params::HB_SIZE, Json::str(HStr::from_display(bid.size))),
+                            (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
                             (params::HB_CURRENCY, Json::str(bid.currency.clone())),
+                            (params::HB_SIZE, Json::str(bid.size.label())),
+                            (params::HB_SLOT, Json::str(bid.slot.clone())),
                         ]);
                         w.browser.fire_event(s.now(), events::BID_RESPONSE, &payload);
                         w.scratch.recycle_json(payload);
@@ -587,15 +593,15 @@ fn launch_partner_retry(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, partner
         q.append(params::HB_AUCTION, auction_id.clone());
         q.append(params::HB_BIDDER, code.clone());
         q.append(params::HB_SOURCE, "client");
-        q.append("slots", HStr::from_display(slots.len()));
+        q.append("slots", HStr::concat(&[Piece::Int(slots.len() as u64)]));
         q.append(params::HB_RETRY, "1");
         let url = Url::https_pooled(host, HStr::from_static(protocol::paths::BID), q);
         let id = w.browser.next_request_id();
         let req = Request::post(id, url, Body::Json(bid_request_body(&slots)))
             .from_initiator("prebid.js");
         let payload = Json::obj([
-            (params::HB_BIDDER, Json::str(code)),
             (params::HB_AUCTION, Json::str(auction_id)),
+            (params::HB_BIDDER, Json::str(code)),
         ]);
         w.browser.fire_event(s.now(), events::BID_REQUESTED, &payload);
         w.scratch.recycle_json(payload);
@@ -622,8 +628,8 @@ fn send_to_adserver(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
     let auction_id = w.flow.auction_id.clone();
 
     let payload = Json::obj([
-        (params::HB_AUCTION, Json::str(auction_id.clone())),
         ("bidsReceived", Json::num(w.flow.bids.len() as f64)),
+        (params::HB_AUCTION, Json::str(auction_id.clone())),
         ("timestamp", Json::num(now.as_millis_f64())),
     ]);
     w.browser.fire_event(now, events::AUCTION_END, &payload);
@@ -657,7 +663,7 @@ fn send_to_adserver(w: &mut PageWorld, s: &mut Scheduler<PageWorld>) {
         {
             q.append(params::HB_BIDDER, best.bidder.clone());
             q.append(params::HB_PB, best.cpm.to_param());
-            q.append(params::HB_SIZE, HStr::from_display(best.size));
+            q.append(params::HB_SIZE, best.size.label());
             q.append(params::HB_ADID, best.ad_id.clone());
         }
     }
@@ -758,11 +764,11 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
     for winner in &winners {
         if winner.channel == FillChannel::HeaderBid && fires_prebid_events {
             let payload = Json::obj([
-                (params::HB_BIDDER, Json::str(winner.bidder.clone())),
                 (params::HB_AUCTION, Json::str(w.flow.auction_id.clone())),
-                (params::HB_SLOT, Json::str(winner.slot.clone())),
+                (params::HB_BIDDER, Json::str(winner.bidder.clone())),
                 (params::HB_PB, Json::str(winner.pb.to_param())),
-                (params::HB_SIZE, Json::str(HStr::from_display(winner.size))),
+                (params::HB_SIZE, Json::str(winner.size.label())),
+                (params::HB_SLOT, Json::str(winner.slot.clone())),
             ]);
             w.browser.fire_event(now, events::BID_WON, &payload);
             w.scratch.recycle_json(payload);
@@ -807,13 +813,13 @@ fn handle_adserver_response(w: &mut PageWorld, s: &mut Scheduler<PageWorld>, out
                 w.browser.page.mark_ad_failed();
             } else {
                 let payload = Json::obj([
+                    ("channel", Json::str(HStr::from_static(winner.channel.label()))),
+                    (params::HB_SIZE, Json::str(winner.size.label())),
                     (params::HB_SLOT, Json::str(winner.slot.clone())),
-                    (params::HB_SIZE, Json::str(HStr::from_display(winner.size))),
                     (
                         "isEmpty",
                         Json::Bool(winner.channel == FillChannel::Unfilled),
                     ),
-                    ("channel", Json::str(HStr::from_static(winner.channel.label()))),
                 ]);
                 w.browser.fire_event(now, events::SLOT_RENDER_ENDED, &payload);
                 w.scratch.recycle_json(payload);

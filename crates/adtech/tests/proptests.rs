@@ -131,3 +131,73 @@ proptest! {
         prop_assert!((parsed.0 - c.0).abs() < 0.005 + 1e-9);
     }
 }
+
+/// Widths and heights of the catalog sizes, crossed: about one pair in
+/// six is a catalog size with a static label, the rest take the
+/// `Display` fallback.
+const SIDES_W: [u32; 9] = [100, 120, 160, 300, 320, 336, 468, 728, 970];
+const SIDES_H: [u32; 9] = [50, 60, 90, 100, 200, 250, 280, 320, 600];
+
+fn arb_any_size() -> impl Strategy<Value = AdSize> {
+    prop_oneof![
+        (any::<u32>(), any::<u32>()).prop_map(|(w, h)| AdSize::new(w, h)),
+        (0u32..1000, 0u32..1000).prop_map(|(w, h)| AdSize::new(w, h)),
+        (0usize..SIDES_W.len(), 0usize..SIDES_H.len())
+            .prop_map(|(i, j)| AdSize::new(SIDES_W[i], SIDES_H[j])),
+    ]
+}
+
+/// The parser before its plain-digits fast path: the reference both
+/// paths together must agree with.
+fn parse_reference(s: &str) -> Option<AdSize> {
+    let (w, h) = s.split_once('x')?;
+    Some(AdSize::new(w.trim().parse().ok()?, h.trim().parse().ok()?))
+}
+
+fn arb_price() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        // Bucketed cent prices, the common wire case.
+        (0.0f64..500.0).prop_map(|v| Cpm(v).bucket(0.01).0),
+        // Exact half-cent ties, rounded by the formatter.
+        (0u64..200_000).prop_map(|k| (2 * k + 1) as f64 / 200.0),
+        // Raw prices and floors.
+        0.0f64..1_000.0,
+        // Any magnitude and sign.
+        any::<f64>(),
+        // Huge values past the fast path's bound.
+        (1e9f64..1e20).prop_map(|v| v),
+    ]
+}
+
+proptest! {
+    /// `AdSize::label` is the `Display` rendering for every size, and a
+    /// static catalog label, when there is one, agrees with it.
+    #[test]
+    fn adsize_label_matches_display(size in arb_any_size()) {
+        prop_assert_eq!(size.label(), size.to_string());
+        if let Some(label) = size.catalog_label() {
+            prop_assert_eq!(label, size.to_string());
+        }
+    }
+
+    /// `parse(label())` round-trips for every size.
+    #[test]
+    fn adsize_parse_label_roundtrips(size in arb_any_size()) {
+        prop_assert_eq!(AdSize::parse(&size.label()), Some(size));
+    }
+
+    /// The fast path accepts exactly what the trimming parser accepts.
+    #[test]
+    fn adsize_parse_matches_reference(
+        s in proptest::string::string_regex("[0-9x +-]{0,12}").unwrap()
+    ) {
+        prop_assert_eq!(AdSize::parse(&s), parse_reference(&s));
+    }
+
+    /// `Cpm::to_param` writes the bytes of `format!("{:.2}")`.
+    #[test]
+    fn cpm_to_param_matches_format(v in arb_price()) {
+        prop_assert_eq!(Cpm(v).to_param(), format!("{v:.2}"));
+        prop_assert_eq!(Cpm(-v).to_param(), format!("{:.2}", -v));
+    }
+}

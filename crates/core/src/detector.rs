@@ -98,6 +98,49 @@ struct FinishScratch {
     slots: Vec<Symbol>,
     /// Distinct partners with an uncompleted bid request, as list indices.
     timed_out: Vec<u32>,
+    /// Partner-list names and codes already interned for this visit.
+    list_syms: ListSymbols,
+}
+
+/// Per-visit memo of interned partner-list strings, keyed by list index:
+/// a visit names the same few partners in its partner set, latencies,
+/// bids and winners, and each name or code is interned once. Each string
+/// is still interned at its first use, so the interner sees the same
+/// sequence of new strings as without the memo.
+#[derive(Default)]
+struct ListSymbols {
+    /// `(list index, name symbol, code symbol)`, symbols filled on first
+    /// use; a visit touches a handful of partners, so a scan is cheapest.
+    entries: Vec<(u32, Option<Symbol>, Option<Symbol>)>,
+}
+
+impl ListSymbols {
+    fn slot(&mut self, idx: u32) -> &mut (u32, Option<Symbol>, Option<Symbol>) {
+        let pos = match self.entries.iter().position(|e| e.0 == idx) {
+            Some(pos) => pos,
+            None => {
+                self.entries.push((idx, None, None));
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[pos]
+    }
+
+    /// The symbol of entry `idx`'s display name.
+    fn name(&mut self, list: &PartnerList, strings: &mut Interner, idx: u32) -> Symbol {
+        *self
+            .slot(idx)
+            .1
+            .get_or_insert_with(|| strings.intern(&list.entry(idx).name))
+    }
+
+    /// The symbol of entry `idx`'s bidder code.
+    fn code(&mut self, list: &PartnerList, strings: &mut Interner, idx: u32) -> Symbol {
+        *self
+            .slot(idx)
+            .2
+            .get_or_insert_with(|| strings.intern(&list.entry(idx).code))
+    }
 }
 
 /// The HBDetector. Create with a partner list, [`attach`](Self::attach) to
@@ -249,7 +292,9 @@ impl HbDetector {
     ) {
         let st = self.state.borrow();
         let scratch = &mut *self.scratch.borrow_mut();
-        let entry = |idx: Option<u32>| idx.map(|i| self.list.entry(i));
+        let list = &*self.list;
+        let syms = &mut scratch.list_syms;
+        syms.entries.clear();
         let mut scalars = VisitScalars {
             domain: strings.intern(domain),
             rank,
@@ -299,17 +344,15 @@ impl HbDetector {
         partners.clear();
         for r in bid_requests().chain(adserver_call) {
             if let Some(i) = r.partner_index {
-                let name = &self.list.entry(i).name;
-                if !partners.iter().any(|&j| self.list.entry(j).name == *name) {
+                let name = &list.entry(i).name;
+                if !partners.iter().any(|&j| list.entry(j).name == *name) {
                     partners.push(i);
                 }
             }
         }
-        partners.sort_unstable_by(|&a, &b| {
-            self.list.entry(a).name.cmp(&self.list.entry(b).name)
-        });
+        partners.sort_unstable_by(|&a, &b| list.entry(a).name.cmp(&list.entry(b).name));
         for &i in partners.iter() {
-            let sym = strings.intern(&self.list.entry(i).name);
+            let sym = syms.name(list, strings, i);
             row.push_partner(sym);
         }
 
@@ -334,19 +377,17 @@ impl HbDetector {
             let latency_ms = r
                 .completed_at
                 .map(|done| done.saturating_since(r.sent_at).as_millis_f64());
-            if let Some(e) = entry(r.partner_index) {
-                if let Some(lat) = latency_ms {
-                    row.push_partner_latency(PartnerLatency {
-                        partner_name: strings.intern(&e.name),
-                        bidder_code: strings.intern(&e.code),
-                        latency_ms: lat,
-                        late,
-                    });
-                }
+            if let (Some(i), Some(lat)) = (r.partner_index, latency_ms) {
+                row.push_partner_latency(PartnerLatency {
+                    partner_name: syms.name(list, strings, i),
+                    bidder_code: syms.code(list, strings, i),
+                    latency_ms: lat,
+                    late,
+                });
             }
             for bid in &st.raw_bids[r.bids.0 as usize..r.bids.1 as usize] {
-                let partner_name = match self.list.by_code(&bid.bidder) {
-                    Some(e) => strings.intern(&e.name),
+                let partner_name = match list.by_code_index(&bid.bidder) {
+                    Some(i) => syms.name(list, strings, i),
                     None => strings.intern(&bid.bidder),
                 };
                 row.push_bid(DetectedBid {
@@ -364,10 +405,10 @@ impl HbDetector {
         // Provider latency for the ad-server call itself (the paper's
         // partner-latency view includes the providers).
         if let Some(c) = adserver_call {
-            if let (Some(e), Some(done)) = (entry(c.partner_index), c.completed_at) {
+            if let (Some(i), Some(done)) = (c.partner_index, c.completed_at) {
                 row.push_partner_latency(PartnerLatency {
-                    partner_name: strings.intern(&e.name),
-                    bidder_code: strings.intern(&e.code),
+                    partner_name: syms.name(list, strings, i),
+                    bidder_code: syms.code(list, strings, i),
                     latency_ms: done.saturating_since(c.sent_at).as_millis_f64(),
                     late: false,
                 });
@@ -391,8 +432,8 @@ impl HbDetector {
                             && b.slot == slot
                     });
                     if !already {
-                        let partner_name = match self.list.by_code(&w.bidder) {
-                            Some(e) => strings.intern(&e.name),
+                        let partner_name = match list.by_code_index(&w.bidder) {
+                            Some(i) => syms.name(list, strings, i),
                             None => winner,
                         };
                         row.push_bid(DetectedBid {

@@ -6,7 +6,6 @@
 //! is independent from the libraries it observes.
 
 use hb_dom::DomEvent;
-use hb_http::HStr;
 use std::fmt;
 
 /// The HB events the detector recognizes (paper §3.1).
@@ -87,39 +86,25 @@ impl fmt::Display for HbEventKind {
     }
 }
 
-/// A recognized HB event with its payload, as captured by the tap.
-#[derive(Clone, Debug)]
+/// A recognized HB event, as captured by the tap: which event fired and
+/// when. Reconstruction reads only the kind (HB proof, passback flag and
+/// per-name counts), so the tap copies nothing out of the event payload —
+/// bid, slot and price evidence comes from the webRequest tap instead.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CapturedEvent {
     /// Which event.
     pub kind: HbEventKind,
     /// When it fired (simulated time, ms).
     pub at_ms: f64,
-    /// Auction id, when the payload carried one.
-    pub auction_id: Option<HStr>,
-    /// Bidder code, when the payload carried one.
-    pub bidder: Option<HStr>,
-    /// Slot code, when the payload carried one.
-    pub slot: Option<HStr>,
-    /// CPM, when the payload carried one.
-    pub cpm: Option<f64>,
-    /// Size string, when the payload carried one.
-    pub size: Option<HStr>,
 }
 
 impl CapturedEvent {
-    /// Try to capture a DOM event as an HB event.
+    /// Try to capture a DOM event as an HB event; `None` for events
+    /// outside the HB taxonomy.
     pub fn from_dom(ev: &DomEvent) -> Option<CapturedEvent> {
-        let kind = HbEventKind::parse(ev.name)?;
-        let p = ev.payload;
-        let get_str = |key: &str| p.get(key).and_then(|v| v.as_str()).map(HStr::new);
         Some(CapturedEvent {
-            kind,
+            kind: HbEventKind::parse(ev.name)?,
             at_ms: ev.at.as_millis_f64(),
-            auction_id: get_str("hb_auction"),
-            bidder: get_str("bidder").or_else(|| get_str("hb_bidder")),
-            slot: get_str("hb_slot"),
-            cpm: p.get("cpm").and_then(|v| v.as_f64()),
-            size: get_str("hb_size"),
         })
     }
 }
@@ -158,23 +143,20 @@ mod tests {
     }
 
     #[test]
-    fn capture_extracts_payload_fields() {
+    fn capture_keeps_kind_and_time() {
         let payload = Json::obj([
-                ("bidder", Json::str("rubicon")),
-                ("hb_auction", Json::str("auc-1")),
-                ("hb_slot", Json::str("ad-slot-2")),
-                ("cpm", Json::num(0.37)),
-                ("hb_size", Json::str("300x250")),
-            ]);
-        let ev = dom("bidResponse", &payload);
-        let c = CapturedEvent::from_dom(&ev).unwrap();
-        assert_eq!(c.kind, HbEventKind::BidResponse);
-        assert_eq!(c.at_ms, 250.0);
-        assert_eq!(c.bidder.as_deref(), Some("rubicon"));
-        assert_eq!(c.auction_id.as_deref(), Some("auc-1"));
-        assert_eq!(c.slot.as_deref(), Some("ad-slot-2"));
-        assert_eq!(c.cpm, Some(0.37));
-        assert_eq!(c.size.as_deref(), Some("300x250"));
+            ("bidder", Json::str("rubicon")),
+            ("hb_auction", Json::str("auc-1")),
+            ("cpm", Json::num(0.37)),
+        ]);
+        let c = CapturedEvent::from_dom(&dom("bidResponse", &payload)).unwrap();
+        assert_eq!(
+            c,
+            CapturedEvent {
+                kind: HbEventKind::BidResponse,
+                at_ms: 250.0,
+            }
+        );
     }
 
     #[test]
@@ -185,19 +167,21 @@ mod tests {
 
     #[test]
     fn hb_bidder_fallback_key() {
+        // A payload naming its bidder only under `hb_bidder` still captures
+        // as kind and time; the payload is not read.
         let payload = Json::obj([("hb_bidder", Json::str("appnexus"))]);
-        let ev = dom("bidWon", &payload);
-        let c = CapturedEvent::from_dom(&ev).unwrap();
-        assert_eq!(c.bidder.as_deref(), Some("appnexus"));
+        let c = CapturedEvent::from_dom(&dom("bidWon", &payload)).unwrap();
+        assert_eq!(c.kind, HbEventKind::BidWon);
+        assert_eq!(c.at_ms, 250.0);
     }
 
     #[test]
     fn missing_fields_are_none() {
-        let payload = Json::obj([]);
-        let ev = dom("auctionEnd", &payload);
-        let c = CapturedEvent::from_dom(&ev).unwrap();
-        assert!(c.auction_id.is_none());
-        assert!(c.bidder.is_none());
-        assert!(c.cpm.is_none());
+        // Empty and non-object payloads capture like populated ones.
+        for payload in [Json::obj([]), Json::Null] {
+            let c = CapturedEvent::from_dom(&dom("bidWon", &payload)).unwrap();
+            assert_eq!(c.kind, HbEventKind::BidWon);
+            assert_eq!(c.at_ms, 250.0);
+        }
     }
 }

@@ -9,6 +9,17 @@
 //! analysis layer resolves them against the campaign-wide interner carried
 //! by the dataset.
 //!
+//! ## Storage
+//!
+//! Interned text lives back to back in one `String`, with a `(start,
+//! end)` span per symbol, and the lookup table is an open-addressing array
+//! of symbol indexes beside a per-symbol hash. Interning a new string
+//! appends to the buffer instead of allocating it, a lookup compares the
+//! stored hash before touching any text, and the text it does compare is
+//! contiguous rather than one heap object per string. Symbols number in
+//! first-intern order, exactly as before; the hash only picks table
+//! slots, so it cannot influence any output.
+//!
 //! ## Concurrency model
 //!
 //! The interner is deliberately *not* shared across threads. Each crawl
@@ -17,9 +28,9 @@
 //! so symbol numbering is identical regardless of scheduling or
 //! parallelism (see `hb-crawler`'s campaign module).
 
-use hb_simnet::FxHashMap;
+use hb_simnet::hash::FxHasher;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::Hasher;
 
 /// A handle to an interned string. `Symbol::EMPTY` (the default) always
 /// resolves to `""` in every interner.
@@ -55,16 +66,20 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// A string interner: each distinct string is stored once (an `Arc<str>`
-/// shared between the lookup map and the index), and [`Interner::intern`]
-/// is idempotent — the same text always yields the same [`Symbol`].
-#[derive(Clone, Debug)]
+/// A string interner: each distinct string is stored once, and
+/// [`Interner::intern`] is idempotent — the same text always yields the
+/// same [`Symbol`].
+#[derive(Clone)]
 pub struct Interner {
-    strings: Vec<Arc<str>>,
-    /// Fx-hashed: interning happens per record string on the crawl and
-    /// merge hot paths; symbol numbering comes from `strings` order, so
-    /// the hasher cannot influence any output.
-    map: FxHashMap<Arc<str>, Symbol>,
+    /// Every interned string, back to back, in symbol order.
+    text: String,
+    /// `(start, end)` of each symbol's text in `text`.
+    spans: Vec<(u32, u32)>,
+    /// Hash of each symbol's text (table placement and quick rejects).
+    hashes: Vec<u64>,
+    /// Open-addressing table: `0` is empty, `i + 1` is symbol `i`. Its
+    /// length is a power of two at least twice the symbol count.
+    table: Vec<u32>,
 }
 
 impl Default for Interner {
@@ -73,27 +88,87 @@ impl Default for Interner {
     }
 }
 
+impl fmt::Debug for Interner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(|(_, s)| s)).finish()
+    }
+}
+
+/// Table length of a fresh interner.
+const INITIAL_TABLE: usize = 16;
+
+fn hash_text(s: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
 impl Interner {
     /// New interner with `""` pre-interned as [`Symbol::EMPTY`].
     pub fn new() -> Interner {
         let mut interner = Interner {
-            strings: Vec::new(),
-            map: FxHashMap::default(),
+            text: String::new(),
+            spans: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![0; INITIAL_TABLE],
         };
         interner.intern("");
         interner
     }
 
-    /// Intern `s`, returning its symbol (allocating only on first sight).
+    /// The table slot a hash probes first: the hash's top bits (the
+    /// multiplicative hash mixes those best).
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.table.len().trailing_zeros();
+        (hash >> (64 - bits)) as usize
+    }
+
+    /// Intern `s`, returning its symbol (appending it on first sight).
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
+        let hash = hash_text(s);
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.table[slot] {
+                0 => break,
+                entry => {
+                    let i = (entry - 1) as usize;
+                    if self.hashes[i] == hash && self.text_of(i) == s {
+                        return Symbol(i as u32);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
         }
-        let arc: Arc<str> = Arc::from(s);
-        let sym = Symbol(self.strings.len() as u32);
-        self.strings.push(arc.clone());
-        self.map.insert(arc, sym);
+        let sym = Symbol(self.spans.len() as u32);
+        let start = self.text.len();
+        self.text.push_str(s);
+        let offset = |n: usize| u32::try_from(n).expect("interned text exceeds 4 GiB");
+        self.spans.push((offset(start), offset(self.text.len())));
+        self.hashes.push(hash);
+        self.table[slot] = sym.0 + 1;
+        if self.spans.len() * 2 > self.table.len() {
+            self.grow();
+        }
         sym
+    }
+
+    /// Double the table and re-place every symbol by its stored hash.
+    fn grow(&mut self) {
+        self.table = vec![0; self.table.len() * 2];
+        let mask = self.table.len() - 1;
+        for (i, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = self.home(hash);
+            while self.table[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.table[slot] = i as u32 + 1;
+        }
+    }
+
+    fn text_of(&self, i: usize) -> &str {
+        let (start, end) = self.spans[i];
+        &self.text[start as usize..end as usize]
     }
 
     /// Resolve a symbol to its text.
@@ -102,30 +177,28 @@ impl Interner {
     /// Panics if `sym` was produced by a different interner with more
     /// entries than this one.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.0 as usize]
+        self.text_of(sym.0 as usize)
     }
 
     /// Resolve without panicking.
     pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
-        self.strings.get(sym.0 as usize).map(|s| &**s)
+        let i = sym.0 as usize;
+        (i < self.spans.len()).then(|| self.text_of(i))
     }
 
     /// Number of distinct strings (including the pre-interned `""`).
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.spans.len()
     }
 
     /// Always false: `""` is pre-interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.spans.is_empty()
     }
 
     /// Iterate `(symbol, text)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Symbol(i as u32), &**s))
+        (0..self.spans.len()).map(|i| (Symbol(i as u32), self.text_of(i)))
     }
 }
 
@@ -161,6 +234,23 @@ mod tests {
         i.intern("a");
         let texts: Vec<&str> = i.iter().map(|(_, s)| s).collect();
         assert_eq!(texts, vec!["", "b", "a"]);
+    }
+
+    #[test]
+    fn many_strings_and_non_ascii_text() {
+        let mut i = Interner::new();
+        let words: Vec<String> = (0..5_000).map(|n| format!("ü{n}-ß")).collect();
+        let syms: Vec<Symbol> = words.iter().map(|w| i.intern(w)).collect();
+        for (w, sym) in words.iter().zip(&syms) {
+            assert_eq!(i.resolve(*sym), w);
+            assert_eq!(i.intern(w), *sym);
+        }
+        assert_eq!(i.len(), words.len() + 1);
+        // A clone resolves alike and then diverges independently.
+        let mut copy = i.clone();
+        assert_eq!(copy.intern("fresh"), Symbol(i.len() as u32));
+        assert_eq!(i.try_resolve(Symbol(i.len() as u32)), None);
+        assert_eq!(copy.resolve(syms[17]), words[17]);
     }
 
     #[test]

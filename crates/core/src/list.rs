@@ -7,7 +7,7 @@
 //! to partner identity.
 
 use hb_dom::find_ci;
-use std::collections::HashMap;
+use hb_simnet::FxHashMap;
 
 /// One entry of the partner list.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,9 +27,11 @@ pub struct PartnerEntry {
 #[derive(Clone, Debug, Default)]
 pub struct PartnerList {
     entries: Vec<PartnerEntry>,
-    by_domain: HashMap<String, u32>,
-    by_code: HashMap<String, u32>,
-    by_name: HashMap<String, u32>,
+    // Fx-hashed: probed for every request host (suffix walk) and every
+    // bid's bidder code; lookup-only, never iterated.
+    by_domain: FxHashMap<String, u32>,
+    by_code: FxHashMap<String, u32>,
+    by_name: FxHashMap<String, u32>,
 }
 
 impl PartnerList {
@@ -113,11 +115,15 @@ impl PartnerList {
 
     /// Find an entry by bidder code (case-insensitive, O(1)).
     pub fn by_code(&self, code: &str) -> Option<&PartnerEntry> {
+        self.by_code_index(code).map(|idx| self.entry(idx))
+    }
+
+    /// Index of the entry with this bidder code (case-insensitive, O(1)).
+    pub(crate) fn by_code_index(&self, code: &str) -> Option<u32> {
         match self.by_code.get(code) {
-            Some(&idx) => Some(self.entry(idx)),
+            Some(&idx) => Some(idx),
             None if code.bytes().any(|b| b.is_ascii_uppercase()) => {
-                let idx = *self.by_code.get(&code.to_ascii_lowercase())?;
-                Some(self.entry(idx))
+                self.by_code.get(&code.to_ascii_lowercase()).copied()
             }
             None => None,
         }

@@ -128,6 +128,32 @@ proptest! {
         }
     }
 
+    /// Against a naive first-sight `Vec` model, over enough short words
+    /// from a tiny alphabet to force hash-table growth and probe chains.
+    #[test]
+    fn intern_matches_naive_model(
+        words in proptest::collection::vec(proptest::string::string_regex("[a-c.]{0,5}").unwrap(), 0..600)
+    ) {
+        let mut interner = hb_core::Interner::new();
+        let mut model: Vec<String> = vec![String::new()];
+        for w in &words {
+            let want = match model.iter().position(|s| s == w) {
+                Some(i) => i,
+                None => {
+                    model.push(w.clone());
+                    model.len() - 1
+                }
+            };
+            prop_assert_eq!(interner.intern(w).index(), want);
+        }
+        prop_assert_eq!(interner.len(), model.len());
+        for (i, (sym, text)) in interner.iter().enumerate() {
+            prop_assert_eq!(sym.index(), i);
+            prop_assert_eq!(text, model[i].as_str());
+            prop_assert_eq!(interner.resolve(sym), model[i].as_str());
+        }
+    }
+
     /// Interning order is stable: symbols are handed out densely in
     /// first-sight order, and iteration replays it.
     #[test]

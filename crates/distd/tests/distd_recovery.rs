@@ -166,11 +166,18 @@ fn finish_coord(
     stats
 }
 
+/// Durable chunk files in the spool: the `chunk-*.hbwf` names that
+/// `spool_load` replays. A `.tmp-…-chunk-….hbwf` file orphaned by a
+/// SIGKILL between write and rename is not durable and is not counted.
 fn spool_file_count(dir: &Path) -> usize {
     match std::fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".hbwf"))
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("chunk-") && name.ends_with(".hbwf")
+            })
             .count(),
         Err(_) => 0,
     }

@@ -94,6 +94,18 @@ mod tests {
     }
 
     #[test]
+    fn every_table_size_has_a_static_wire_label() {
+        for facet in [HbFacet::ClientSide, HbFacet::ServerSide, HbFacet::Hybrid] {
+            for (size, _) in size_table(facet) {
+                let text = size.to_string();
+                assert_eq!(size.catalog_label(), Some(text.as_str()), "{facet}");
+                assert_eq!(size.label(), text);
+                assert_eq!(AdSize::parse(&size.label()), Some(size));
+            }
+        }
+    }
+
+    #[test]
     fn client_panel_has_facet_specific_sizes() {
         let t = size_table(HbFacet::ClientSide);
         assert!(t.iter().any(|(s, _)| *s == AdSize::new(320, 320)));

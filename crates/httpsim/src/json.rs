@@ -8,20 +8,37 @@
 //!
 //! ## Representation and pooling
 //!
-//! Objects are a **sorted `Vec<(HStr, Json)>`** ([`JsonObj`]): lookups
-//! binary-search, insertion keeps sort order, so iteration and
-//! serialization are byte-identical to the previous `BTreeMap`
-//! representation by construction — while the whole object lives in one
-//! contiguous spine instead of one node allocation per key.
+//! Objects are a **sorted `Vec<(HStr, Json)>`** ([`JsonObj`]), so
+//! iteration and serialization are byte-identical to the former
+//! `BTreeMap` representation by construction, while the whole object
+//! lives in one contiguous spine instead of one node allocation per key.
+//!
+//! Wire objects are small (a handful of `hb_*` keys), so the spine is
+//! searched for speed at that size rather than asymptotically:
+//!
+//! * **Lookup** ([`JsonObj::get`]) is one linear scan that compares key
+//!   lengths first and only touches the bytes of same-length keys — on
+//!   a six-key payload that beats a binary search, whose every probe is
+//!   a full ordering `memcmp`.
+//! * **Insert** appends without searching when the key sorts after the
+//!   current last key (the parser's case for sorted input, which is all
+//!   input this crate serializes); otherwise it replaces an existing key
+//!   in place or shifts the spine to keep it sorted.
+//! * **[`Json::obj`]** collects its static pairs in call order, then
+//!   sorts them once with a stable sort and keeps the last of any
+//!   duplicate keys — the same last-write-wins result as inserting them
+//!   one by one. Pairs already written in ascending key order cost one
+//!   comparison each.
 //!
 //! Those spines (and array spines) are recycled through [`JsonScratch`],
 //! a per-worker-thread pool mirroring `MsgScratch`: builders
 //! ([`Json::obj`], [`Json::arr`]) and the parser draw cleared spines from
 //! the pool, and [`Json::recycle`] walks a dead tree handing every spine
-//! back. Message payloads that die inside a visit (request bodies after
-//! dispatch, response bodies after parsing) therefore stop touching the
-//! allocator in the steady state; trees that escape into records are
-//! simply dropped as before — pooling is best-effort and behaviour-free.
+//! back, descending only into nested containers. Message payloads that
+//! die inside a visit (request bodies after dispatch, response bodies
+//! after parsing) therefore stop touching the allocator in the steady
+//! state; trees that escape into records are simply dropped as before —
+//! pooling is best-effort and behaviour-free.
 
 use crate::hstr::HStr;
 use std::cell::RefCell;
@@ -47,10 +64,11 @@ pub enum Json {
 /// A JSON object: key-sorted `Vec` of entries with unique keys.
 ///
 /// Semantically a drop-in for the `BTreeMap<HStr, Json>` it replaced:
-/// `insert` keeps entries sorted (last write to a key wins), `get` is a
-/// binary search, iteration yields keys in ascending order. Equality,
-/// ordering of serialization bytes, and parameter-flattening order are
-/// therefore unchanged by construction.
+/// `insert` keeps entries sorted (last write to a key wins), iteration
+/// yields keys in ascending order. Equality, ordering of serialization
+/// bytes, and parameter-flattening order are therefore unchanged by
+/// construction. Lookups scan linearly, length first (see the module
+/// docs for why that suits wire-sized objects).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JsonObj {
     entries: Vec<(HStr, Json)>,
@@ -74,36 +92,53 @@ impl JsonObj {
         self.entries.is_empty()
     }
 
-    /// Position of `key`, or where it would insert.
+    /// Position of `key`: a linear scan that compares lengths, then the
+    /// last byte (same-length wire keys share prefixes: `hb_slot`,
+    /// `hb_size`, `hb_adid`), before the bytes.
     #[inline]
-    fn search(&self, key: &str) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    fn find(&self, key: &str) -> Option<usize> {
+        let key = key.as_bytes();
+        self.entries.iter().position(|(k, _)| {
+            let k = k.as_bytes();
+            k.len() == key.len() && k.last() == key.last() && k == key
+        })
     }
 
-    /// Value for `key`, if present (binary search).
+    /// Value for `key`, if present.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
-        let i = self.search(key).ok()?;
+        let i = self.find(key)?;
         Some(&self.entries[i].1)
     }
 
     /// Mutable value for `key`, if present.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
-        let i = self.search(key).ok()?;
+        let i = self.find(key)?;
         Some(&mut self.entries[i].1)
     }
 
     /// Insert a key/value pair, keeping entries sorted. Returns the
     /// previous value when the key was already present (last write wins —
-    /// `BTreeMap::insert` semantics).
+    /// `BTreeMap::insert` semantics). A key sorting after every present
+    /// key is appended without a search.
     pub fn insert(&mut self, key: impl Into<HStr>, value: Json) -> Option<Json> {
         let key = key.into();
-        match self.search(&key) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
-            Err(i) => {
-                self.entries.insert(i, (key, value));
-                None
-            }
+        let append = match self.entries.last() {
+            Some((last, _)) => last.as_str() < key.as_str(),
+            None => true,
+        };
+        if append {
+            self.entries.push((key, value));
+            return None;
         }
+        if let Some(i) = self.find(&key) {
+            return Some(std::mem::replace(&mut self.entries[i].1, value));
+        }
+        let i = self
+            .entries
+            .partition_point(|(k, _)| k.as_str() < key.as_str());
+        self.entries.insert(i, (key, value));
+        None
     }
 
     /// Iterate `(key, value)` pairs in ascending key order.
@@ -124,13 +159,24 @@ impl<'a> IntoIterator for &'a JsonObj {
     }
 }
 
+/// Builds an object from pairs in write order: a stable sort keeps equal
+/// keys in write order, and the dedup then keeps the last value written
+/// to each key. Pairs already in ascending key order are only checked.
 impl FromIterator<(HStr, Json)> for JsonObj {
     fn from_iter<T: IntoIterator<Item = (HStr, Json)>>(iter: T) -> JsonObj {
-        let mut obj = JsonObj::new();
-        for (k, v) in iter {
-            obj.insert(k, v);
+        let mut entries = JsonScratch::take_obj_spine();
+        entries.extend(iter);
+        if !entries.is_sorted_by(|a, b| a.0.as_str() < b.0.as_str()) {
+            entries.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+            entries.dedup_by(|later, kept| {
+                let dup = later.0 == kept.0;
+                if dup {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                dup
+            });
         }
-        obj
+        JsonObj { entries }
     }
 }
 
@@ -148,7 +194,12 @@ pub struct JsonScratch {
 }
 
 thread_local! {
-    static JSON_SCRATCH: RefCell<JsonScratch> = RefCell::new(JsonScratch::default());
+    static JSON_SCRATCH: RefCell<JsonScratch> = const {
+        RefCell::new(JsonScratch {
+            objs: Vec::new(),
+            arrs: Vec::new(),
+        })
+    };
 }
 
 impl JsonScratch {
@@ -166,29 +217,39 @@ impl JsonScratch {
     /// capacity returns to this thread's pool (bounded by
     /// [`SPINE_POOL_CAP`]); strings and scalars are dropped as usual.
     pub fn recycle(j: Json) {
-        JSON_SCRATCH.with(|s| Self::recycle_into(&mut s.borrow_mut(), j));
+        match j {
+            Json::Arr(_) | Json::Obj(_) => JSON_SCRATCH.with(|s| s.borrow_mut().recycle_into(j)),
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) => {}
+        }
     }
 
-    fn recycle_into(pool: &mut JsonScratch, j: Json) {
+    fn recycle_into(&mut self, j: Json) {
         match j {
             Json::Arr(mut items) => {
-                for item in items.drain(..) {
-                    Self::recycle_into(pool, item);
-                }
-                if items.capacity() > 0 && pool.arrs.len() < SPINE_POOL_CAP {
-                    pool.arrs.push(items);
+                self.recycle_children(items.iter_mut());
+                if items.capacity() > 0 && self.arrs.len() < SPINE_POOL_CAP {
+                    items.clear();
+                    self.arrs.push(items);
                 }
             }
-            Json::Obj(obj) => {
-                let mut entries = obj.entries;
-                for (_, v) in entries.drain(..) {
-                    Self::recycle_into(pool, v);
-                }
-                if entries.capacity() > 0 && pool.objs.len() < SPINE_POOL_CAP {
-                    pool.objs.push(entries);
+            Json::Obj(JsonObj { mut entries }) => {
+                self.recycle_children(entries.iter_mut().map(|(_, v)| v));
+                if entries.capacity() > 0 && self.objs.len() < SPINE_POOL_CAP {
+                    entries.clear();
+                    self.objs.push(entries);
                 }
             }
             Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) => {}
+        }
+    }
+
+    /// Recurse only into nested containers; scalars and strings stay in
+    /// place and are dropped with their spine.
+    fn recycle_children<'a>(&mut self, values: impl Iterator<Item = &'a mut Json>) {
+        for v in values {
+            if matches!(v, Json::Arr(_) | Json::Obj(_)) {
+                self.recycle_into(std::mem::replace(v, Json::Null));
+            }
         }
     }
 
@@ -221,8 +282,9 @@ impl std::error::Error for JsonError {}
 
 impl Json {
     /// Shorthand: build an object from `(key, value)` pairs (last write
-    /// to a duplicate key wins). The entry spine comes from this thread's
-    /// [`JsonScratch`] pool when one is available.
+    /// to a duplicate key wins). The pairs are sorted once, stably; the
+    /// entry spine comes from this thread's [`JsonScratch`] pool when one
+    /// is available.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
         Json::Obj(
             pairs

@@ -38,6 +38,7 @@ use hb_adtech::{
     SiteRuntime, WinnerPayload,
 };
 use hb_ecosystem::{SiteFactory, SiteGen};
+use hb_http::hstr::Piece;
 use hb_http::{RequestId, Response};
 use hb_simnet::{
     EventId, FaultDecision, HStr, Rng, Scheduler, SimDuration, SimTime, Simulation, StopReason,
@@ -390,7 +391,7 @@ pub fn start_auction(w: &mut ServeWorld, s: &mut Scheduler<ServeWorld>, req: AdR
     let site = w.gen.runtime_shared(req.rank);
     let providers = providers_for(&site);
     let rng = w.root_rng.derive(req.id);
-    let label = HStr::from_display(format_args!("srv-{}", req.id));
+    let label = HStr::concat(&[Piece::Text("srv-"), Piece::Int(req.id)]);
     let now = s.now();
 
     let slot = match w.free.pop() {

@@ -44,9 +44,13 @@ impl Hasher for FxHasher {
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
+            // The zero-padded little-endian tail word, assembled in
+            // registers (a variable-length copy would call `memcpy`).
+            let tail = rest
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &b)| w | u64::from(b) << (8 * i));
+            self.add(tail ^ rest.len() as u64);
         }
     }
 
@@ -83,6 +87,31 @@ pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tail_word_is_the_zero_padded_le_word() {
+        // Reference: the tail copied into a zeroed 8-byte array.
+        let reference = |bytes: &[u8]| {
+            let mut h = FxHasher::default();
+            let mut chunks = bytes.chunks_exact(8);
+            for c in &mut chunks {
+                h.add(u64::from_le_bytes(c.try_into().unwrap()));
+            }
+            let rest = chunks.remainder();
+            if !rest.is_empty() {
+                let mut tail = [0u8; 8];
+                tail[..rest.len()].copy_from_slice(rest);
+                h.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
+            }
+            h.finish()
+        };
+        let text: Vec<u8> = (0u8..=40).map(|b| b.wrapping_mul(97) ^ 0xa5).collect();
+        for len in 0..=text.len() {
+            let mut h = FxHasher::default();
+            h.write(&text[..len]);
+            assert_eq!(h.finish(), reference(&text[..len]), "len {len}");
+        }
+    }
 
     #[test]
     fn deterministic_across_instances() {

@@ -112,6 +112,30 @@ impl HStr {
         }
     }
 
+    /// Concatenate text and decimal integers — the bytes `format!`
+    /// writes with `{}` for each piece — without `core::fmt`. Per-message
+    /// ids (`auc-{rank}-{n}`, `cr-{bidder}-{n}`) are assembled this way:
+    /// short results never touch the heap.
+    pub fn concat(pieces: &[Piece<'_>]) -> HStr {
+        let mut buf = [0u8; 64];
+        let mut len = 0;
+        for piece in pieces {
+            let mut digits = [0u8; 20];
+            let bytes = piece.bytes(&mut digits);
+            if len + bytes.len() > buf.len() {
+                let mut spilled = String::new();
+                for piece in pieces {
+                    spilled.push_str(piece.text(&mut digits));
+                }
+                return HStr::from(spilled);
+            }
+            buf[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        }
+        // Whole pieces of valid UTF-8 (`&str`s and ASCII digits) only.
+        HStr::new(std::str::from_utf8(&buf[..len]).unwrap_or(""))
+    }
+
     /// View as `&str`.
     #[inline]
     pub fn as_str(&self) -> &str {
@@ -144,6 +168,42 @@ impl HStr {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.as_str().is_empty()
+    }
+}
+
+/// One piece of [`HStr::concat`]: text, or an integer written in
+/// decimal.
+#[derive(Clone, Copy, Debug)]
+pub enum Piece<'a> {
+    /// Copied as is.
+    Text(&'a str),
+    /// Written in decimal, like `{}` formats it.
+    Int(u64),
+}
+
+impl Piece<'_> {
+    /// The piece's bytes; integers are written into `digits`.
+    fn bytes<'b>(&'b self, digits: &'b mut [u8; 20]) -> &'b [u8] {
+        match *self {
+            Piece::Text(t) => t.as_bytes(),
+            Piece::Int(mut n) => {
+                let mut at = digits.len();
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                &digits[at..]
+            }
+        }
+    }
+
+    /// The piece as text (ASCII digits for integers).
+    fn text<'b>(&'b self, digits: &'b mut [u8; 20]) -> &'b str {
+        std::str::from_utf8(self.bytes(digits)).unwrap_or("")
     }
 }
 
@@ -324,6 +384,20 @@ impl fmt::Debug for HStr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn concat_writes_the_bytes_of_format() {
+        let long = "é".repeat(40);
+        for n in [0, 7, 10, 999_999_999, u64::MAX] {
+            let id = HStr::concat(&[Piece::Text("auc-"), Piece::Int(n), Piece::Text("-x")]);
+            assert_eq!(id, format!("auc-{n}-x"));
+            assert_eq!(HStr::concat(&[Piece::Int(n)]), n.to_string());
+            // Past the stack buffer the result spills to the heap intact.
+            let spilled = HStr::concat(&[Piece::Text(&long), Piece::Int(n), Piece::Text(&long)]);
+            assert_eq!(spilled, format!("{long}{n}{long}"));
+        }
+        assert_eq!(HStr::concat(&[]), "");
+    }
 
     #[test]
     fn representations_compare_equal_by_content() {
