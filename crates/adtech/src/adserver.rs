@@ -248,11 +248,8 @@ where
 ///   (this is what makes the same endpoint serve pure Server-Side HB — no
 ///   client bids — and Hybrid HB — both).
 pub struct AdServerEndpoint {
-    accounts: FxHashMap<HStr, Arc<AdServerAccount>>,
-    /// On-demand account derivation for lazily generated universes: when
-    /// the static `accounts` map misses, the resolver gets a chance to
-    /// produce the account from the id alone (`None` = genuinely unknown).
-    resolver: Option<AccountResolver>,
+    /// Account lookup by id (`None` = unknown account, answered 404).
+    resolver: AccountResolver,
     /// Base decision-engine latency (ms) added to every request.
     pub decision_overhead_ms: f64,
 }
@@ -261,48 +258,31 @@ pub struct AdServerEndpoint {
 pub type AccountResolver = Box<dyn Fn(&str) -> Option<Arc<AdServerAccount>> + Send + Sync>;
 
 impl AdServerEndpoint {
-    /// Build with a set of accounts.
+    /// Build over a fixed set of accounts.
     pub fn new(accounts: impl IntoIterator<Item = AdServerAccount>) -> AdServerEndpoint {
-        AdServerEndpoint {
-            accounts: accounts
-                .into_iter()
-                .map(|a| (a.account_id.clone(), Arc::new(a)))
-                .collect(),
-            resolver: None,
-            decision_overhead_ms: 15.0,
-        }
+        let accounts: FxHashMap<HStr, Arc<AdServerAccount>> = accounts
+            .into_iter()
+            .map(|a| (a.account_id.clone(), Arc::new(a)))
+            .collect();
+        AdServerEndpoint::with_resolver(move |id| accounts.get(id).cloned())
     }
 
-    /// Build with an on-demand account resolver instead of a materialized
-    /// account map. Decisioning is a pure function of `(account, request,
-    /// rng)`, so a resolver that derives the same account the eager map
-    /// would have held yields byte-identical replies.
+    /// Build over an on-demand account resolver, which derives each
+    /// account from its id alone (the lazily generated universe's ad
+    /// servers). Decisioning is a pure function of `(account, request,
+    /// rng)`, so replies are as deterministic as the resolver.
     pub fn with_resolver(
         resolver: impl Fn(&str) -> Option<Arc<AdServerAccount>> + Send + Sync + 'static,
     ) -> AdServerEndpoint {
         AdServerEndpoint {
-            accounts: FxHashMap::default(),
-            resolver: Some(Box::new(resolver)),
+            resolver: Box::new(resolver),
             decision_overhead_ms: 15.0,
         }
     }
 
-    /// Number of accounts registered (resolver-backed accounts excluded).
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
-    /// Look up an account, falling back to the resolver.
-    fn account(&self, id: &str) -> Option<Arc<AdServerAccount>> {
-        if let Some(a) = self.accounts.get(id) {
-            return Some(a.clone());
-        }
-        self.resolver.as_ref().and_then(|r| r(id))
-    }
-
     fn handle_ads(&self, req: &Request, rng: &mut Rng) -> ServerReply {
         let account_id = req.url.query.get("account").unwrap_or("");
-        let account = match self.account(account_id) {
+        let account = match (self.resolver)(account_id) {
             Some(a) => a,
             None => {
                 return ServerReply::instant(Response::error(
@@ -510,7 +490,7 @@ mod tests {
     fn endpoint_decisions_all_units() {
         let account = AdServerAccount::test_account("pub-9", vec![unit("s1"), unit("s2")]);
         let ep = AdServerEndpoint::new([account]);
-        assert_eq!(ep.account_count(), 1);
+        assert!((ep.resolver)("pub-9").is_some());
         let bids_body = protocol::bid_response_body(
             "auc-7",
             &[crate::protocol::BidPayload {

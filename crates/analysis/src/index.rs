@@ -47,8 +47,8 @@
 //! | slot decisions | `s_*` | slot decision in an HB visit |
 //! | ground truth | `t_*` | truth record with a measured latency |
 
-use hb_core::{DetectedFacet, Interner, Symbol, VisitView};
-use hb_crawler::{run_campaign_streamed, CampaignConfig, TruthRecord, VisitChunk};
+use hb_core::{DetectedFacet, Interner, Symbol};
+use hb_crawler::{run_campaign_streamed, CampaignConfig, VisitChunk};
 use hb_ecosystem::SiteFactory;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,6 +66,7 @@ pub struct SiteRow {
 
 /// Columnar view over one campaign. See the module docs for the
 /// build-once/read-many contract.
+#[derive(Default)]
 pub struct DatasetIndex {
     /// The interner every symbol column resolves against.
     pub strings: Arc<Interner>,
@@ -150,186 +151,6 @@ pub struct DatasetIndex {
     pub partner_latency_by_sym: HashMap<Symbol, u32>,
 }
 
-/// Symbol-space-agnostic accumulation state of [`DatasetIndexBuilder`].
-#[derive(Default)]
-struct IndexAccum {
-    v_rank: Vec<u32>,
-    v_day: Vec<u32>,
-    v_facet: Vec<Option<DetectedFacet>>,
-    v_latency: Vec<f64>,
-    v_slots_auctioned: Vec<u32>,
-    v_n_bids: Vec<u32>,
-    v_n_late: Vec<u32>,
-    v_bids_dropped: Vec<u32>,
-    v_retries: Vec<u32>,
-    v_timed_out: Vec<u32>,
-    v_passback: Vec<bool>,
-    d0_rank: Vec<u32>,
-    d0_hb: Vec<bool>,
-    d0_facet: Vec<Option<DetectedFacet>>,
-    b_visit: Vec<u32>,
-    b_bidder: Vec<Symbol>,
-    b_partner: Vec<Symbol>,
-    b_size: Vec<Symbol>,
-    b_cpm: Vec<f64>,
-    l_partner: Vec<Symbol>,
-    l_late: Vec<bool>,
-    s_visit: Vec<u32>,
-    s_size: Vec<Symbol>,
-    t_hb_latency: Vec<f64>,
-    t_wf_latency: Vec<f64>,
-    site_rows: HashMap<Symbol, SiteRow>,
-    partner_samples: HashMap<Symbol, Vec<f64>>,
-}
-
-impl IndexAccum {
-    /// Fold one visit; `map` migrates symbols into the index's symbol
-    /// space.
-    fn push_visit(&mut self, v: VisitView<'_>, map: &mut dyn FnMut(Symbol) -> Symbol) {
-        if v.day == 0 {
-            self.d0_rank.push(v.rank);
-            self.d0_hb.push(v.hb_detected);
-            self.d0_facet.push(v.facet);
-        }
-        if !v.hb_detected {
-            return;
-        }
-        let vrow = self.v_rank.len() as u32;
-        self.v_rank.push(v.rank);
-        self.v_day.push(v.day);
-        self.v_facet.push(v.facet);
-        self.v_latency.push(v.hb_latency_ms.unwrap_or(f64::NAN));
-        self.v_slots_auctioned.push(v.slots_auctioned);
-        self.v_n_bids.push(v.bids.len() as u32);
-        self.v_n_late.push(v.late_bids() as u32);
-        self.v_bids_dropped.push(v.bids_dropped);
-        self.v_retries.push(v.retries);
-        self.v_timed_out.push(v.timed_out_partners);
-        self.v_passback.push(v.passback_served);
-
-        let domain = map(v.domain);
-        let site = self.site_rows.entry(domain).or_insert_with(|| SiteRow {
-            domain,
-            partners: Vec::new(),
-            latencies: Vec::new(),
-        });
-        for p in v.partners {
-            let p = map(*p);
-            if !site.partners.contains(&p) {
-                site.partners.push(p);
-            }
-        }
-        if let Some(lat) = v.hb_latency_ms {
-            site.latencies.push(lat);
-        }
-
-        for b in v.bids {
-            self.b_visit.push(vrow);
-            self.b_bidder.push(map(b.bidder_code));
-            self.b_partner.push(map(b.partner_name));
-            self.b_size.push(map(b.size));
-            self.b_cpm.push(b.cpm);
-        }
-        for pl in v.partner_latencies {
-            let partner = map(pl.partner_name);
-            self.l_partner.push(partner);
-            self.l_late.push(pl.late);
-            self.partner_samples
-                .entry(partner)
-                .or_default()
-                .push(pl.latency_ms);
-        }
-        for s in v.slots {
-            self.s_visit.push(vrow);
-            self.s_size.push(map(s.size));
-        }
-    }
-
-    /// Fold one ground-truth record (only its latency columns are kept).
-    fn push_truth(&mut self, t: &TruthRecord) {
-        if t.facet != "none" {
-            if let Some(ms) = t.hb_latency_ms {
-                self.t_hb_latency.push(ms);
-            }
-        } else if let Some(ms) = t.waterfall_latency_ms {
-            self.t_wf_latency.push(ms);
-        }
-    }
-
-    /// Sort the derived tables and assemble the immutable index.
-    fn finish(self, strings: Arc<Interner>, n_sites: u32, n_days: u32) -> DatasetIndex {
-        // Sites sorted by domain name; partner sets sorted by name.
-        let mut sites: Vec<SiteRow> = self.site_rows.into_values().collect();
-        for site in &mut sites {
-            site.partners
-                .sort_unstable_by(|a, b| strings.resolve(*a).cmp(strings.resolve(*b)));
-        }
-        sites.sort_unstable_by(|a, b| {
-            strings.resolve(a.domain).cmp(strings.resolve(b.domain))
-        });
-
-        // Partner popularity: distinct sites per partner, from the sorted
-        // site table; ranked count desc, name asc.
-        let mut pop: HashMap<Symbol, usize> = HashMap::new();
-        for site in &sites {
-            for p in &site.partners {
-                *pop.entry(*p).or_insert(0) += 1;
-            }
-        }
-        let mut partner_popularity: Vec<(Symbol, usize)> = pop.into_iter().collect();
-        partner_popularity.sort_unstable_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| strings.resolve(a.0).cmp(strings.resolve(b.0)))
-        });
-
-        // Per-partner latency samples sorted by name, with a reverse map.
-        let mut partner_latency: Vec<(Symbol, Vec<f64>)> =
-            self.partner_samples.into_iter().collect();
-        partner_latency
-            .sort_unstable_by(|a, b| strings.resolve(a.0).cmp(strings.resolve(b.0)));
-        let partner_latency_by_sym = partner_latency
-            .iter()
-            .enumerate()
-            .map(|(i, (sym, _))| (*sym, i as u32))
-            .collect();
-
-        DatasetIndex {
-            strings,
-            n_sites,
-            n_days,
-            v_rank: self.v_rank,
-            v_day: self.v_day,
-            v_facet: self.v_facet,
-            v_latency: self.v_latency,
-            v_slots_auctioned: self.v_slots_auctioned,
-            v_n_bids: self.v_n_bids,
-            v_n_late: self.v_n_late,
-            v_bids_dropped: self.v_bids_dropped,
-            v_retries: self.v_retries,
-            v_timed_out: self.v_timed_out,
-            v_passback: self.v_passback,
-            d0_rank: self.d0_rank,
-            d0_hb: self.d0_hb,
-            d0_facet: self.d0_facet,
-            b_visit: self.b_visit,
-            b_bidder: self.b_bidder,
-            b_partner: self.b_partner,
-            b_size: self.b_size,
-            b_cpm: self.b_cpm,
-            l_partner: self.l_partner,
-            l_late: self.l_late,
-            s_visit: self.s_visit,
-            s_size: self.s_size,
-            t_hb_latency: self.t_hb_latency,
-            t_wf_latency: self.t_wf_latency,
-            sites,
-            partner_popularity,
-            partner_latency,
-            partner_latency_by_sym,
-        }
-    }
-}
-
 impl DatasetIndex {
     /// Crawl the campaign and fold it into an index:
     /// [`run_campaign_streamed`] into a [`DatasetIndexBuilder`], each
@@ -371,47 +192,151 @@ impl DatasetIndex {
 /// peak memory for a figures run is the index itself plus one in-flight
 /// chunk.
 pub struct DatasetIndexBuilder {
-    strings: Interner,
-    n_sites: u32,
-    n_days: u32,
-    accum: IndexAccum,
+    /// The index under construction: every column grows in place, and
+    /// [`DatasetIndexBuilder::finish`] adds the derived tables.
+    ix: DatasetIndex,
+    site_rows: HashMap<Symbol, SiteRow>,
+    partner_samples: HashMap<Symbol, Vec<f64>>,
 }
 
 impl DatasetIndexBuilder {
     /// Start a builder for a campaign over `n_sites` × `n_days`.
     pub fn new(n_sites: u32, n_days: u32) -> DatasetIndexBuilder {
         DatasetIndexBuilder {
-            strings: Interner::new(),
-            n_sites,
-            n_days,
-            accum: IndexAccum::default(),
+            ix: DatasetIndex {
+                n_sites,
+                n_days,
+                ..DatasetIndex::default()
+            },
+            site_rows: HashMap::new(),
+            partner_samples: HashMap::new(),
         }
     }
 
     /// Fold one chunk: visits are appended in chunk order with their
-    /// symbols re-interned from the chunk-local table into the builder's.
+    /// symbols re-interned from the chunk-local table into the index's.
+    /// Symbols are interned in field order (domain, partners, each bid's
+    /// bidder/partner/size, latency partners, slot sizes), which fixes the
+    /// index's symbol numbering for a given chunk stream.
     pub fn push_chunk(&mut self, chunk: &VisitChunk) {
-        let strings = &mut self.strings;
+        let ix = &mut self.ix;
+        let strings = Arc::get_mut(&mut ix.strings).expect("interner is unshared until finish");
         let local = &chunk.strings;
-        let mut map = |sym: Symbol| strings.intern(local.resolve(sym));
+        let mut intern = |sym: Symbol| strings.intern(local.resolve(sym));
         for v in chunk.visits.iter() {
-            self.accum.push_visit(v, &mut map);
+            if v.day == 0 {
+                ix.d0_rank.push(v.rank);
+                ix.d0_hb.push(v.hb_detected);
+                ix.d0_facet.push(v.facet);
+            }
+            if !v.hb_detected {
+                continue;
+            }
+            let vrow = ix.v_rank.len() as u32;
+            ix.v_rank.push(v.rank);
+            ix.v_day.push(v.day);
+            ix.v_facet.push(v.facet);
+            ix.v_latency.push(v.hb_latency_ms.unwrap_or(f64::NAN));
+            ix.v_slots_auctioned.push(v.slots_auctioned);
+            ix.v_n_bids.push(v.bids.len() as u32);
+            ix.v_n_late.push(v.late_bids() as u32);
+            ix.v_bids_dropped.push(v.bids_dropped);
+            ix.v_retries.push(v.retries);
+            ix.v_timed_out.push(v.timed_out_partners);
+            ix.v_passback.push(v.passback_served);
+
+            let domain = intern(v.domain);
+            let site = self.site_rows.entry(domain).or_insert_with(|| SiteRow {
+                domain,
+                partners: Vec::new(),
+                latencies: Vec::new(),
+            });
+            for p in v.partners {
+                let p = intern(*p);
+                if !site.partners.contains(&p) {
+                    site.partners.push(p);
+                }
+            }
+            if let Some(lat) = v.hb_latency_ms {
+                site.latencies.push(lat);
+            }
+
+            for b in v.bids {
+                ix.b_visit.push(vrow);
+                ix.b_bidder.push(intern(b.bidder_code));
+                ix.b_partner.push(intern(b.partner_name));
+                ix.b_size.push(intern(b.size));
+                ix.b_cpm.push(b.cpm);
+            }
+            for pl in v.partner_latencies {
+                let partner = intern(pl.partner_name);
+                ix.l_partner.push(partner);
+                ix.l_late.push(pl.late);
+                self.partner_samples
+                    .entry(partner)
+                    .or_default()
+                    .push(pl.latency_ms);
+            }
+            for s in v.slots {
+                ix.s_visit.push(vrow);
+                ix.s_size.push(intern(s.size));
+            }
         }
+        // Ground truth: only the latency columns are kept.
         for t in &chunk.truths {
-            self.accum.push_truth(t);
+            if t.facet != "none" {
+                if let Some(ms) = t.hb_latency_ms {
+                    ix.t_hb_latency.push(ms);
+                }
+            } else if let Some(ms) = t.waterfall_latency_ms {
+                ix.t_wf_latency.push(ms);
+            }
         }
     }
 
-    /// Number of visits folded so far (HB visits only appear in `v_*`
-    /// columns, but day-0 rows count every sweep visit).
-    pub fn n_hb_visits(&self) -> usize {
-        self.accum.v_rank.len()
-    }
-
-    /// Seal the index.
+    /// Seal the index: sort the derived tables.
     pub fn finish(self) -> DatasetIndex {
-        self.accum
-            .finish(Arc::new(self.strings), self.n_sites, self.n_days)
+        let mut ix = self.ix;
+        let strings = &ix.strings;
+        // Sites sorted by domain name; partner sets sorted by name.
+        let mut sites: Vec<SiteRow> = self.site_rows.into_values().collect();
+        for site in &mut sites {
+            site.partners
+                .sort_unstable_by(|a, b| strings.resolve(*a).cmp(strings.resolve(*b)));
+        }
+        sites.sort_unstable_by(|a, b| {
+            strings.resolve(a.domain).cmp(strings.resolve(b.domain))
+        });
+
+        // Partner popularity: distinct sites per partner, from the sorted
+        // site table; ranked count desc, name asc.
+        let mut pop: HashMap<Symbol, usize> = HashMap::new();
+        for site in &sites {
+            for p in &site.partners {
+                *pop.entry(*p).or_insert(0) += 1;
+            }
+        }
+        let mut partner_popularity: Vec<(Symbol, usize)> = pop.into_iter().collect();
+        partner_popularity.sort_unstable_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then_with(|| strings.resolve(a.0).cmp(strings.resolve(b.0)))
+        });
+
+        // Per-partner latency samples sorted by name, with a reverse map.
+        let mut partner_latency: Vec<(Symbol, Vec<f64>)> =
+            self.partner_samples.into_iter().collect();
+        partner_latency
+            .sort_unstable_by(|a, b| strings.resolve(a.0).cmp(strings.resolve(b.0)));
+        ix.partner_latency_by_sym = partner_latency
+            .iter()
+            .enumerate()
+            .map(|(i, (sym, _))| (*sym, i as u32))
+            .collect();
+
+        ix.sites = sites;
+        ix.partner_popularity = partner_popularity;
+        ix.partner_latency = partner_latency;
+        ix
     }
 }
 

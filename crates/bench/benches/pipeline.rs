@@ -11,7 +11,7 @@ use hb_core::{Interner, VisitColumns};
 use hb_crawler::{
     crawl_site_into, run_campaign_streamed, CampaignConfig, SessionConfig, VisitScratch,
 };
-use hb_ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig, SiteFactory};
+use hb_ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_http::{Json, Request, RequestId, Url};
 use hb_simnet::{Dist, HostFaultProfile, LatencyModel};
 use std::hint::black_box;
@@ -29,10 +29,10 @@ fn crawl(factory: &SiteFactory, cfg: &CampaignConfig) -> u64 {
 /// detector buffers, message pools) and the shared runtime survive across
 /// iterations, exactly as they survive across a worker's visits.
 fn visit_columnar_bench(c: &mut Criterion) {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     let pick = |facet: Option<HbFacet>| {
-        eco.sites()
-            .iter()
+        factory
+            .sites()
             .find(|s| s.facet == facet)
             .expect("facet present in tiny universe")
     };
@@ -45,7 +45,7 @@ fn visit_columnar_bench(c: &mut Criterion) {
     let session = SessionConfig::default();
     for (label, site) in cases {
         let mut strings = Interner::new();
-        let mut scratch = VisitScratch::new(eco.partner_list());
+        let mut scratch = VisitScratch::new(factory.partner_list());
         let mut cols = VisitColumns::new();
         let mut truths = Vec::new();
         c.bench_function(&format!("visit/{label}"), |b| {
@@ -56,9 +56,9 @@ fn visit_columnar_bench(c: &mut Criterion) {
                 cols.clear();
                 truths.clear();
                 black_box(crawl_site_into(
-                    eco.net(),
-                    eco.runtime_shared(site.rank),
-                    eco.visit_rng(site.rank, 0),
+                    factory.net(),
+                    factory.runtime_shared(site.rank),
+                    factory.visit_rng(site.rank, 0),
                     0,
                     &session,
                     &mut strings,
@@ -164,8 +164,7 @@ fn campaign_faulty_bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 2,000-site × 1-day campaign over the lazy factory — the scale where
-/// eager universe construction used to dominate. Reported as visits/sec
+/// A 2,000-site × 1-day campaign over the lazy factory. Reported as visits/sec
 /// (`Throughput::Elements`), without the CSV writing that the crawl
 /// binary's visits/sec includes.
 fn campaign_small_bench(c: &mut Criterion) {

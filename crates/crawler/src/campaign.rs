@@ -128,7 +128,7 @@ impl ShardSpec {
 /// unit of lease-based distribution.
 ///
 /// This is the exact iteration the in-process scheduler runs per claimed
-/// block ([`run_batch`] delegates here), exposed so a remote worker
+/// block (`run_batch` delegates here), exposed so a remote worker
 /// holding a `(day, shard, seq)` lease produces byte-identical chunks: a
 /// block-local interner, direct-to-column visits via [`crawl_site_into`],
 /// ground truth flattened in place. `on_visit` fires after every finished
@@ -392,7 +392,7 @@ pub fn run_campaign_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_ecosystem::EcosystemConfig;
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -450,11 +450,12 @@ mod tests {
 
     #[test]
     fn detector_matches_ground_truth_adoption() {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
-        let chunks = chunks(eco.factory(), &CampaignConfig::default());
-        let truth_hb: BTreeSet<&str> = eco
-            .hb_sites()
-            .map(|s| s.domain.as_str())
+        let factory = tiny();
+        let chunks = chunks(&factory, &CampaignConfig::default());
+        let truth_hb: BTreeSet<String> = factory
+            .sites()
+            .filter(|s| s.facet.is_some())
+            .map(|s| s.domain.to_string())
             .collect();
         let detected: BTreeSet<&str> = chunks
             .iter()
@@ -467,7 +468,7 @@ mod tests {
             .collect();
         // 100% precision (paper §4.1): nothing detected that is not HB.
         for d in &detected {
-            assert!(truth_hb.contains(d), "{d} is a false positive");
+            assert!(truth_hb.contains(*d), "{d} is a false positive");
         }
         // Near-100% recall in the simulated world (page loads can fail
         // under fault injection, so allow a small gap).

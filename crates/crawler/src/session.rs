@@ -204,23 +204,23 @@ pub fn crawl_site_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_ecosystem::{Ecosystem, EcosystemConfig};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory};
 
-    fn eco() -> Ecosystem {
-        Ecosystem::generate(EcosystemConfig::tiny_scale())
+    fn tiny() -> SiteFactory {
+        SiteFactory::new(EcosystemConfig::tiny_scale())
     }
 
     #[test]
     fn hb_site_detected_with_correct_facet() {
-        let eco = eco();
+        let factory = tiny();
         let mut strings = Interner::new();
         let mut checked = 0;
-        for site in eco.hb_sites().take(12) {
+        for site in factory.sites().filter(|s| s.facet.is_some()).take(12) {
             let visit = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 0),
+                factory.net(),
+                factory.runtime_for(&site),
+                factory.partner_list(),
+                factory.visit_rng(site.rank, 0),
                 0,
                 &SessionConfig::default(),
                 &mut strings,
@@ -240,14 +240,14 @@ mod tests {
 
     #[test]
     fn waterfall_site_not_detected() {
-        let eco = eco();
+        let factory = tiny();
         let mut strings = Interner::new();
-        let site = eco.sites().iter().find(|s| s.facet.is_none()).unwrap();
+        let site = factory.sites().find(|s| s.facet.is_none()).unwrap();
         let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 0),
+            factory.net(),
+            factory.runtime_for(&site),
+            factory.partner_list(),
+            factory.visit_rng(site.rank, 0),
             0,
             &SessionConfig::default(),
             &mut strings,
@@ -264,22 +264,23 @@ mod tests {
         // a fresh scratch appends for the same (site, day). Catches any
         // state a future Browser/HbDetector field leaks across
         // reset_for_visit / reset.
-        let eco = eco();
+        let factory = tiny();
         let cfg = SessionConfig::default();
-        let mut reused = VisitScratch::new(eco.partner_list());
-        let sites: Vec<_> = eco
-            .hb_sites()
+        let mut reused = VisitScratch::new(factory.partner_list());
+        let sites: Vec<_> = factory
+            .sites()
+            .filter(|s| s.facet.is_some())
             .take(3)
-            .chain(eco.sites().iter().filter(|s| s.facet.is_none()).take(2))
+            .chain(factory.sites().filter(|s| s.facet.is_none()).take(2))
             .collect();
         let crawl = |rank: u32, day: u32, scratch: &mut VisitScratch| {
             let mut strings = Interner::new();
             let mut cols = VisitColumns::new();
             let mut truths = Vec::new();
             let outcome = crawl_site_into(
-                eco.net(),
-                eco.runtime_shared(rank),
-                eco.visit_rng(rank, day),
+                factory.net(),
+                factory.runtime_shared(rank),
+                factory.visit_rng(rank, day),
                 day,
                 &cfg,
                 &mut strings,
@@ -299,7 +300,7 @@ mod tests {
         for (day, site) in sites.into_iter().enumerate() {
             let day = day as u32;
             let (done_a, row_a, truth_a, strings_a) = crawl(site.rank, day, &mut reused);
-            let mut fresh = VisitScratch::new(eco.partner_list());
+            let mut fresh = VisitScratch::new(factory.partner_list());
             let (done_b, row_b, truth_b, strings_b) = crawl(site.rank, day, &mut fresh);
             assert_eq!(done_a, done_b, "{}", site.domain);
             // Both sides interned into fresh interners, so identical rows
@@ -312,14 +313,14 @@ mod tests {
 
     #[test]
     fn visits_are_deterministic() {
-        let eco = eco();
-        let site = eco.hb_sites().next().unwrap();
+        let factory = tiny();
+        let site = factory.sites().filter(|s| s.facet.is_some()).next().unwrap();
         let run = || {
             crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 1),
+                factory.net(),
+                factory.runtime_for(&site),
+                factory.partner_list(),
+                factory.visit_rng(site.rank, 1),
                 1,
                 &SessionConfig::default(),
                 &mut Interner::new(),
@@ -337,25 +338,25 @@ mod tests {
 
     #[test]
     fn different_days_differ() {
-        let eco = eco();
+        let factory = tiny();
         let mut strings = Interner::new();
         // Latency samples differ day to day for at least one site.
         let mut any_diff = false;
-        for site in eco.hb_sites().take(5) {
+        for site in factory.sites().filter(|s| s.facet.is_some()).take(5) {
             let a = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 0),
+                factory.net(),
+                factory.runtime_for(&site),
+                factory.partner_list(),
+                factory.visit_rng(site.rank, 0),
                 0,
                 &SessionConfig::default(),
                 &mut strings,
             );
             let b = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 1),
+                factory.net(),
+                factory.runtime_for(&site),
+                factory.partner_list(),
+                factory.visit_rng(site.rank, 1),
                 1,
                 &SessionConfig::default(),
                 &mut strings,
@@ -369,14 +370,14 @@ mod tests {
 
     #[test]
     fn detector_latency_close_to_ground_truth() {
-        let eco = eco();
+        let factory = tiny();
         let mut strings = Interner::new();
-        for site in eco.hb_sites().take(8) {
+        for site in factory.sites().filter(|s| s.facet.is_some()).take(8) {
             let visit = crawl_site(
-                eco.net(),
-                eco.runtime_for(site),
-                eco.partner_list(),
-                eco.visit_rng(site.rank, 2),
+                factory.net(),
+                factory.runtime_for(&site),
+                factory.partner_list(),
+                factory.visit_rng(site.rank, 2),
                 2,
                 &SessionConfig::default(),
                 &mut strings,

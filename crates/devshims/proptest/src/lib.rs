@@ -374,7 +374,7 @@ pub mod collection {
     use std::collections::BTreeMap;
     use std::ops::Range;
 
-    /// Size bounds accepted by [`vec`] and [`btree_map`].
+    /// Size bounds accepted by [`vec()`] and [`btree_map`].
     pub trait SizeRange {
         /// Pick a concrete size.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -398,7 +398,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

@@ -748,7 +748,7 @@ impl Coordinator {
 mod tests {
     use super::*;
     use hb_crawler::{run_campaign_streamed, CampaignConfig};
-    use hb_ecosystem::{Ecosystem, SiteFactory};
+    use hb_ecosystem::SiteFactory;
 
     /// The whole campaign's chunks, in stream order.
     fn campaign_chunks(factory: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
@@ -769,12 +769,12 @@ mod tests {
     #[test]
     fn state_machine_folds_in_campaign_order() {
         let cfg = tiny_cfg();
-        let eco = Ecosystem::generate(cfg.eco.clone());
+        let factory = SiteFactory::new(cfg.eco.clone());
         let campaign = CampaignConfig {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let chunks = campaign_chunks(eco.factory(), &campaign);
+        let chunks = campaign_chunks(&factory, &campaign);
         let mut st = initial_state(&cfg);
         // Submit out of order within the window: reverse each day's run.
         let mut folded_keys = Vec::new();
@@ -810,12 +810,12 @@ mod tests {
     #[test]
     fn duplicate_chunks_are_dropped_idempotently() {
         let cfg = tiny_cfg();
-        let eco = Ecosystem::generate(cfg.eco.clone());
+        let factory = SiteFactory::new(cfg.eco.clone());
         let campaign = CampaignConfig {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let chunks = campaign_chunks(eco.factory(), &campaign);
+        let chunks = campaign_chunks(&factory, &campaign);
         let mut st = initial_state(&cfg);
         let mut n = 0usize;
         let mut sink = |_c: VisitChunk| n += 1;
@@ -879,12 +879,12 @@ mod tests {
             lease_timeout: Duration::from_millis(1),
             ..tiny_cfg()
         };
-        let eco = Ecosystem::generate(cfg.eco.clone());
+        let factory = SiteFactory::new(cfg.eco.clone());
         let campaign = CampaignConfig {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let chunks = campaign_chunks(eco.factory(), &campaign);
+        let chunks = campaign_chunks(&factory, &campaign);
         assert!(chunks.len() >= 3, "need ≥ 3 day-0 blocks for a batch");
         let mut st = initial_state(&cfg);
         let Msg::Lease { lease_id, blocks } = grant(&mut st, &cfg) else {
@@ -948,12 +948,12 @@ mod tests {
     #[test]
     fn unknown_blocks_are_refused() {
         let cfg = tiny_cfg();
-        let eco = Ecosystem::generate(cfg.eco.clone());
+        let factory = SiteFactory::new(cfg.eco.clone());
         let campaign = CampaignConfig {
             chunk_visits: cfg.chunk_visits,
             ..CampaignConfig::default()
         };
-        let mut chunk = campaign_chunks(eco.factory(), &campaign)[0].clone();
+        let mut chunk = campaign_chunks(&factory, &campaign)[0].clone();
         chunk.shard = 9; // no such shard in a 1-shard schedule
         let mut st = initial_state(&cfg);
         assert!(matches!(

@@ -350,7 +350,7 @@ pub fn segment_path(dir: &Path, n: u64) -> PathBuf {
 mod tests {
     use super::*;
     use hb_crawler::{run_campaign_streamed, CampaignConfig};
-    use hb_ecosystem::{Ecosystem, EcosystemConfig, SiteFactory};
+    use hb_ecosystem::{EcosystemConfig, SiteFactory};
 
     /// The whole campaign's chunks, in stream order.
     fn campaign_chunks(factory: &SiteFactory, cfg: &CampaignConfig) -> Vec<VisitChunk> {
@@ -366,12 +366,12 @@ mod tests {
     }
 
     fn tiny_chunks() -> Vec<VisitChunk> {
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
             chunk_visits: 64,
             ..CampaignConfig::default()
         };
-        campaign_chunks(eco.factory(), &cfg)
+        campaign_chunks(&factory, &cfg)
     }
 
     #[test]
@@ -465,12 +465,12 @@ mod tests {
     #[test]
     fn hundred_chunk_spool_compacts_and_restarts_byte_identical() {
         let dir = tmp_dir("hundred");
-        let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+        let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
         let cfg = CampaignConfig {
             chunk_visits: 2,
             ..CampaignConfig::default()
         };
-        let chunks = campaign_chunks(eco.factory(), &cfg);
+        let chunks = campaign_chunks(&factory, &cfg);
         assert!(
             chunks.len() >= 100,
             "need an acceptance-scale spool, got {} chunks",

@@ -22,7 +22,7 @@
 use crate::proto::{config_fingerprint, recv_msg, send_msg, DistdError, Msg};
 use crate::transport::{Connector, TcpConnector, Transport};
 use hb_crawler::{crawl_block_until, SessionConfig, VisitScratch};
-use hb_ecosystem::{Ecosystem, EcosystemConfig};
+use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use std::time::{Duration, Instant};
 
 /// Worker tuning.
@@ -227,8 +227,7 @@ pub fn run_worker_session(
     connector: &dyn Connector,
     stats: &mut WorkerStats,
 ) -> Result<(), DistdError> {
-    let eco = Ecosystem::generate(cfg.eco.clone());
-    let factory = eco.factory();
+    let factory = SiteFactory::new(cfg.eco.clone());
     let fingerprint = config_fingerprint(
         &cfg.eco,
         cfg.shards.max(1),

@@ -6,7 +6,7 @@
 
 use hb_analysis::{indexed_reports, DatasetIndexBuilder};
 use hb_crawler::{run_campaign_streamed, CampaignConfig};
-use hb_ecosystem::{Ecosystem, EcosystemConfig};
+use hb_ecosystem::{EcosystemConfig, SiteFactory};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -38,14 +38,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// the same incremental index, rendered to the same CSV bytes.
 fn reference_figures() -> BTreeMap<String, String> {
     let eco_cfg = EcosystemConfig::tiny_scale();
-    let eco = Ecosystem::generate(eco_cfg.clone());
+    let factory = SiteFactory::new(eco_cfg.clone());
     let cfg = CampaignConfig {
         shards: SHARDS,
         chunk_visits: CHUNK_VISITS,
         ..CampaignConfig::default()
     };
     let mut builder = DatasetIndexBuilder::new(eco_cfg.n_sites, eco_cfg.crawl_days);
-    run_campaign_streamed(eco.factory(), &cfg, &mut |chunk| builder.push_chunk(&chunk));
+    run_campaign_streamed(&factory, &cfg, &mut |chunk| builder.push_chunk(&chunk));
     let index = builder.finish();
     indexed_reports(&index)
         .into_iter()

@@ -1,21 +1,17 @@
 //! Lazy universe generation: any site profile derived purely from
 //! `(seed, rank)`.
 //!
-//! [`Ecosystem::generate`](crate::Ecosystem::generate) used to materialize
-//! every [`SiteProfile`], every publisher page, and every per-site endpoint
-//! up front — O(toplist) work and memory before the first visit. The
-//! factory inverts that: [`SiteGen`] is the pure derivation core (a site's
-//! RNG stream hangs off `root.derive(rank)`, so any rank is reachable in
-//! O(1)), and [`SiteFactory`] wires it into a *lazy world* whose router
-//! and latency directory synthesize publisher endpoints on demand from the
-//! hostname alone. Total cost becomes O(sites actually visited), which is
-//! what lets a shard of a million-rank toplist crawl its slice without
-//! paying for the other 999 shards.
+//! [`SiteGen`] is the pure derivation core: a site's RNG stream hangs off
+//! `root.derive(rank)`, so any rank is reachable in O(1). [`SiteFactory`]
+//! wires it into a *lazy world* whose router and latency directory
+//! synthesize publisher endpoints on demand from the hostname alone.
+//! Total cost is O(sites actually visited), which is what lets a shard of
+//! a million-rank toplist crawl its slice without paying for the other
+//! 999 shards.
 //!
 //! Determinism: every endpoint is a pure function of `(request, rng)`, and
-//! the lazily derived profiles/accounts/latency models are byte-identical
-//! to what the eager [`build_world`](crate::world::build_world) would have
-//! registered, so visits simulate identically on either world.
+//! every derived profile, account and latency model is a pure function of
+//! `(seed, rank)`, so memo hits, misses and evictions never change bytes.
 
 use crate::catalog::{self, PartnerSpec};
 use crate::config::EcosystemConfig;
@@ -269,10 +265,9 @@ impl SiteGen {
     }
 
     /// Derive the profile of the site at 1-based `rank`. O(1) in the
-    /// toplist size; identical to what the eager generator produces for
-    /// the same `(seed, rank)`. Transient buffers come from the thread's
-    /// [`DeriveScratch`], so a cold derivation allocates only what escapes
-    /// into the profile.
+    /// toplist size and pure in `(seed, rank)`. Transient buffers come
+    /// from the thread's [`DeriveScratch`], so a cold derivation allocates
+    /// only what escapes into the profile.
     pub fn site(&self, rank: u32) -> SiteProfile {
         let mut rng = self.root.derive(rank as u64);
         DERIVE_SCRATCH.with(|s| {
@@ -401,6 +396,13 @@ impl SiteFactory {
     /// Derive the profile of the site at 1-based `rank` (O(1)).
     pub fn site(&self, rank: u32) -> SiteProfile {
         self.gen.site(rank)
+    }
+
+    /// Every site of the toplist in rank order (`1..=n_sites`), each
+    /// derived afresh through [`SiteFactory::site`]: iterating never fills
+    /// the shared memo, so a later visit of any rank still starts cold.
+    pub fn sites(&self) -> impl Iterator<Item = SiteProfile> + '_ {
+        (1..=self.gen.config.n_sites).map(move |rank| self.site(rank))
     }
 
     /// Derive (or reuse, via the universe's shared memo) the shared

@@ -1,5 +1,5 @@
-//! World assembly: wiring the generated sites and partner catalog into a
-//! routable simulated Internet.
+//! World assembly: wiring the lazily derived sites and the partner catalog
+//! into a routable simulated Internet.
 //!
 //! One [`Router`] serves the whole universe: every publisher page, every
 //! publisher-owned ad server (client-side sites), the shared DFP-like
@@ -139,8 +139,7 @@ fn own_ads_latency_model(site: &SiteProfile) -> LatencyModel {
 }
 
 /// Register the toplist-independent backbone: the CDN and every partner's
-/// HB + waterfall endpoints. O(catalog), shared by the eager and lazy
-/// world builders.
+/// HB + waterfall endpoints. O(catalog).
 fn register_backbone(
     router: &mut Router,
     latency: &mut HostDirectory,
@@ -192,64 +191,9 @@ fn register_backbone(
     }
 }
 
-/// Build the world for a set of sites.
-pub fn build_world(
-    sites: &[SiteProfile],
-    specs: &[PartnerSpec],
-    profiles: &[PartnerProfile],
-) -> World {
-    let mut router = Router::new();
-    let mut latency = HostDirectory::new();
-    register_backbone(&mut router, &mut latency, specs, profiles);
-    let shared: Vec<Arc<PartnerProfile>> =
-        profiles.iter().cloned().map(Arc::new).collect();
-
-    // Provider ad servers (one endpoint per provider host, holding the
-    // accounts of every site that chose it).
-    let mut provider_accounts: std::collections::HashMap<usize, Vec<AdServerAccount>> =
-        std::collections::HashMap::new();
-    for site in sites {
-        if let Some(pid) = site.provider_id {
-            provider_accounts
-                .entry(pid)
-                .or_default()
-                .push(account_for(site, &shared));
-        }
-    }
-    for (pid, accounts) in provider_accounts {
-        let host = specs[pid].host();
-        // The provider host already serves partner traffic; give the ad
-        // server its own subdomain, mirroring ad.doubleclick.net.
-        let ads_host = HStr::from_display(format_args!("ads.{host}"));
-        router.register(ads_host.clone(), AdServerEndpoint::new(accounts));
-        latency.insert(ads_host, specs[pid].to_profile(0).latency.clone());
-    }
-
-    // Publisher pages + own ad servers (interned `HStr` hosts end to end:
-    // registration clones the compact handle instead of fresh `String`s).
-    for site in sites {
-        let html = hb_http::HStr::from(page_html(site, specs));
-        router.register(site.domain.clone(), move |r: &Request, _: &mut Rng| {
-            ServerReply::instant(Response::text(r.id, html.clone()))
-        });
-        latency.insert(site.domain.clone(), page_latency_model(site));
-        if site.facet == Some(hb_adtech::HbFacet::ClientSide) {
-            let host = site.own_ad_server_host();
-            router.register(
-                host.clone(),
-                AdServerEndpoint::new([account_for(site, &shared)]),
-            );
-            latency.insert(host, own_ads_latency_model(site));
-        }
-    }
-
-    World { router, latency }
-}
-
 /// Endpoint synthesizing publisher pages and publisher-owned ad servers on
 /// demand from the hostname (`pub{rank}.example` / `ads.pub{rank}.example`).
-/// Derivation is pure in `(seed, rank)`, so replies are byte-identical to
-/// the eager per-site registrations.
+/// Derivation is pure in `(seed, rank)`, so replies are too.
 struct PublisherEndpoint {
     gen: Arc<SiteGen>,
     /// Shared resolver-backed ad server for every client-side site's own
@@ -263,8 +207,7 @@ impl PublisherEndpoint {
         let own_ads = AdServerEndpoint::with_resolver(move |account_id| {
             let rank = g.rank_of_account(account_id)?;
             let site = g.site_shared(rank);
-            // Mirror the eager world: only client-side sites operate an
-            // ad server of their own.
+            // Only client-side sites operate an ad server of their own.
             (site.facet == Some(hb_adtech::HbFacet::ClientSide))
                 .then(|| g.account_shared(rank))
         });
@@ -316,7 +259,7 @@ pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
                 let rank = g.rank_of_account(account_id)?;
                 let site = g.site_shared(rank);
                 // An account exists at this provider only if the site
-                // actually chose it (mirrors the eager registration).
+                // actually chose it.
                 (site.provider_id == Some(pid)).then(|| g.account_shared(rank))
             }),
         );
@@ -328,9 +271,9 @@ pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
     // Exact registrations (partners, CDN, providers) take precedence.
     router.register_domain("example", PublisherEndpoint::new(gen));
 
-    // Per-site latency models, derived from the profile on demand. The
-    // eager world resolves `ads.pub{rank}.example` for non-client sites
-    // through the suffix walk to the page host's model; mirror that.
+    // Per-site latency models, derived from the profile on demand.
+    // `ads.pub{rank}.example` of a site without an ad server of its own
+    // takes the page host's model.
     let g = gen.clone();
     latency.set_dynamic(move |host| {
         if let Some(rank) = g.rank_of_page_host(host) {
@@ -350,15 +293,6 @@ pub fn build_lazy_world(gen: &Arc<SiteGen>) -> World {
     });
 
     World { router, latency }
-}
-
-/// Host of the ad server a site's wrapper talks to.
-pub fn ad_server_host_for(site: &SiteProfile, specs: &[PartnerSpec]) -> HStr {
-    match (site.facet, site.provider_id) {
-        (Some(hb_adtech::HbFacet::ClientSide), _) | (None, _) => site.own_ad_server_host(),
-        (_, Some(pid)) => HStr::from_display(format_args!("ads.{}", specs[pid].host())),
-        _ => site.own_ad_server_host(),
-    }
 }
 
 /// Precomputed per-universe runtime-construction tables: one
@@ -394,16 +328,6 @@ impl RuntimeCtx {
         self.robustness = policy;
         self
     }
-}
-
-/// Build the per-visit [`SiteRuntime`](hb_adtech::SiteRuntime).
-/// Convenience wrapper over [`site_runtime_with`] that builds a throwaway
-/// [`RuntimeCtx`]; the factory path reuses one per universe.
-pub fn site_runtime(
-    site: &SiteProfile,
-    specs: &[PartnerSpec],
-) -> hb_adtech::SiteRuntime {
-    site_runtime_with(site, &RuntimeCtx::new(specs))
 }
 
 /// Build the per-visit [`SiteRuntime`](hb_adtech::SiteRuntime) from the
@@ -450,34 +374,40 @@ pub fn site_runtime_with(site: &SiteProfile, ctx: &RuntimeCtx) -> hb_adtech::Sit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog;
     use crate::config::EcosystemConfig;
-    use crate::publisher::generate_site;
+    use crate::factory::SiteFactory;
+    use hb_adtech::HbFacet;
+    use hb_http::{RequestId, Status, Url};
 
-    fn small_world() -> (Vec<SiteProfile>, Vec<PartnerSpec>, World) {
-        let cfg = EcosystemConfig::tiny_scale();
-        let specs = catalog::catalog();
-        let providers = catalog::providers(&specs);
-        let pool = catalog::s2s_pool(&specs);
-        let profiles = catalog::profiles(&specs);
-        let root = Rng::new(5);
-        let sites: Vec<SiteProfile> = (1..=cfg.n_sites)
-            .map(|rank| {
-                let mut rng = root.derive(rank as u64);
-                generate_site(&cfg, &specs, &providers, &pool, rank, &mut rng)
-            })
-            .collect();
-        let world = build_world(&sites, &specs, &profiles);
-        (sites, specs, world)
+    fn tiny() -> SiteFactory {
+        SiteFactory::new(EcosystemConfig::tiny_scale())
+    }
+
+    /// Status of the reply `host` gives an ad request for `account`.
+    fn ad_status(f: &SiteFactory, host: &str, account: &str) -> Option<Status> {
+        let req = Request::get(
+            RequestId(2),
+            Url::https(host, hb_adtech::protocol::paths::AD_SERVER).with_param("account", account),
+        );
+        f.router()
+            .dispatch(&req, &mut Rng::new(1))
+            .map(|r| r.response.status)
     }
 
     #[test]
     fn every_page_host_routes() {
-        let (sites, _, world) = small_world();
-        for site in &sites {
-            assert!(
-                world.router.resolve(&site.domain).is_some(),
-                "{} unroutable",
+        let f = tiny();
+        for site in f.sites() {
+            let page = Request::get(RequestId(1), Url::https(&site.domain, "/"));
+            let reply = f
+                .router()
+                .dispatch(&page, &mut Rng::new(1))
+                .unwrap_or_else(|| panic!("{} unroutable", site.domain));
+            assert_eq!(reply.response.status, Status::OK, "{}", site.domain);
+            assert_eq!(
+                reply.response.body.as_text(),
+                Some(page_html(&site, f.specs())),
+                "{}",
                 site.domain
             );
         }
@@ -485,122 +415,81 @@ mod tests {
 
     #[test]
     fn partner_hosts_route_and_have_latency() {
-        let (_, specs, world) = small_world();
+        let f = tiny();
+        let net = f.net();
         let mut rng = Rng::new(1);
-        for spec in &specs {
+        for spec in f.specs() {
             let host = spec.host();
-            assert!(world.router.resolve(&host).is_some(), "{host}");
-            let sample = world.latency.lookup(&host).sample(&mut rng);
+            assert!(net.router.resolve(&host).is_some(), "{host}");
+            let sample = net.latency.lookup(&host).sample(&mut rng);
             assert!(sample.as_micros() > 0);
         }
     }
 
     #[test]
     fn client_sites_get_own_ad_server() {
-        let (sites, specs, world) = small_world();
-        let mut seen = false;
-        for site in sites
-            .iter()
-            .filter(|s| s.facet == Some(hb_adtech::HbFacet::ClientSide))
-        {
-            seen = true;
-            let host = ad_server_host_for(site, &specs);
-            assert_eq!(host, site.own_ad_server_host());
-            assert!(world.router.resolve(&host).is_some(), "{host}");
+        let f = tiny();
+        let (mut client, mut other) = (0, 0);
+        for site in f.sites() {
+            let own = site.own_ad_server_host();
+            let status = ad_status(&f, &own, &site.account_id());
+            if site.facet == Some(HbFacet::ClientSide) {
+                client += 1;
+                assert_eq!(f.runtime_shared(site.rank).ad_server_host, own);
+                assert_eq!(status, Some(Status::OK), "{own}");
+            } else {
+                // Only client-side sites run an ad server of their own.
+                other += 1;
+                assert_eq!(status, Some(Status::NOT_FOUND), "{own}");
+            }
         }
-        assert!(seen, "tiny world should include client-side sites");
+        assert!(client > 0 && other > 0, "tiny world mixes facets");
     }
 
     #[test]
     fn provider_sites_point_at_provider_ads_host() {
-        let (sites, specs, world) = small_world();
-        for site in sites.iter().filter(|s| s.provider_id.is_some()) {
-            let host = ad_server_host_for(site, &specs);
+        let f = tiny();
+        let providers = crate::catalog::providers(f.specs());
+        assert!(providers.len() > 1);
+        let mut seen = false;
+        for site in f.sites() {
+            let Some(pid) = site.provider_id else { continue };
+            seen = true;
+            let host = f.runtime_shared(site.rank).ad_server_host.clone();
             assert!(host.starts_with("ads."));
             assert!(host.ends_with("-adnet.example"));
-            assert!(world.router.resolve(&host).is_some(), "{host}");
+            assert_eq!(ad_status(&f, &host, &site.account_id()), Some(Status::OK), "{host}");
+            // Every other provider refuses the account.
+            for &(other, _) in providers.iter().filter(|&&(p, _)| p != pid) {
+                let foreign = format!("ads.{}", f.specs()[other].host());
+                assert_eq!(
+                    ad_status(&f, &foreign, &site.account_id()),
+                    Some(Status::NOT_FOUND),
+                    "{foreign} knows {}",
+                    site.account_id()
+                );
+            }
         }
+        assert!(seen, "tiny world should include provider sites");
     }
 
     #[test]
     fn page_html_reflects_hb_configuration() {
-        let (sites, specs, _) = small_world();
-        let hb_site = sites.iter().find(|s| s.facet.is_some()).unwrap();
-        let html = page_html(hb_site, &specs);
+        let f = tiny();
+        let hb_site = f.sites().find(|s| s.facet.is_some()).unwrap();
+        let html = page_html(&hb_site, f.specs());
         assert!(html.contains("prebid.js"));
         assert!(html.contains("ad-slot-1"));
-        let plain = sites.iter().find(|s| s.facet.is_none()).unwrap();
-        let html2 = page_html(plain, &specs);
+        let plain = f.sites().find(|s| s.facet.is_none()).unwrap();
+        let html2 = page_html(&plain, f.specs());
         assert!(!html2.contains("prebid.js"));
     }
 
     #[test]
-    fn lazy_world_matches_eager_world() {
-        // The lazy world's claim is byte-parity with the eager one:
-        // identical page bodies, identical latency models, identical
-        // ad-server decisions for the same (request, rng). Exercise every
-        // site of the tiny universe against both worlds.
-        use hb_http::{Request, RequestId};
-
-        let cfg = EcosystemConfig::tiny_scale();
-        let gen = std::sync::Arc::new(crate::factory::SiteGen::new(cfg.clone()));
-        let sites: Vec<SiteProfile> = (1..=cfg.n_sites).map(|r| gen.site(r)).collect();
-        let eager = build_world(&sites, &gen.specs, &gen.profiles);
-        let lazy = crate::world::build_lazy_world(&gen);
-
-        let body_of = |world: &World, req: &Request, seed: u64| {
-            let mut rng = Rng::new(seed);
-            world
-                .router
-                .dispatch(req, &mut rng)
-                .map(|r| (r.response.status.0, r.response.body.as_text()))
-        };
-        for site in &sites {
-            // Page endpoint parity.
-            let page = Request::get(
-                RequestId(1),
-                hb_http::Url::parse(&site.url_string()).unwrap(),
-            );
-            assert_eq!(
-                body_of(&eager, &page, site.rank as u64),
-                body_of(&lazy, &page, site.rank as u64),
-                "page body differs for {}",
-                site.domain
-            );
-            // Latency-model parity for the page host and its ads host
-            // (the lazy side resolves both dynamically).
-            for host in [site.domain.clone(), site.own_ad_server_host()] {
-                let mut a = Rng::new(site.rank as u64);
-                let mut b = Rng::new(site.rank as u64);
-                assert_eq!(
-                    eager.latency.lookup(&host).sample(&mut a),
-                    lazy.latency.lookup(&host).sample(&mut b),
-                    "latency model differs for {host}"
-                );
-            }
-            // Ad-server parity: same decisioning reply from the host the
-            // wrapper would actually contact (resolver-derived accounts
-            // must equal the eager registrations).
-            if site.facet.is_some() {
-                let ads_host = ad_server_host_for(site, &gen.specs);
-                let req = Request::get(
-                    RequestId(2),
-                    hb_http::Url::https(&ads_host, hb_adtech::protocol::paths::AD_SERVER)
-                        .with_param("account", site.account_id()),
-                );
-                let a = body_of(&eager, &req, 1000 + site.rank as u64);
-                let b = body_of(&lazy, &req, 1000 + site.rank as u64);
-                assert!(a.is_some(), "eager world drops {ads_host}");
-                assert_eq!(a, b, "ad-server reply differs for {}", site.domain);
-            }
-        }
-    }
-
-    #[test]
     fn site_runtime_is_complete() {
-        let (sites, specs, _) = small_world();
-        let site = sites.iter().find(|s| s.facet.is_some()).unwrap();
-        let rt = site_runtime(site, &specs);
+        let f = tiny();
+        let site = f.sites().find(|s| s.facet.is_some()).unwrap();
+        let rt = f.runtime_shared(site.rank);
         assert_eq!(rt.rank, site.rank);
         assert_eq!(rt.ad_units.len(), site.ad_units.len());
         assert_eq!(rt.client_partners.len(), site.client_partner_ids.len());

@@ -93,33 +93,4 @@ proptest! {
         hosts.dedup();
         prop_assert_eq!(hosts.len(), before);
     }
-
-    /// The memoized `Ecosystem::sites()` table and a separately built
-    /// factory agree for every rank, across arbitrary seeds and toplist
-    /// sizes — the wrapper may cache but never diverge. (Endpoint-level
-    /// parity of the lazy world against the eager `build_world` is
-    /// covered by `world::tests::lazy_world_matches_eager_world`.)
-    #[test]
-    fn lazy_factory_matches_eager_generation(seed in any::<u64>(), n_sites in 1u32..400) {
-        let cfg = EcosystemConfig::tiny_scale().with_seed(seed).with_sites(n_sites);
-        let eco = hb_ecosystem::Ecosystem::generate(cfg.clone());
-        let factory = hb_ecosystem::SiteFactory::new(cfg);
-        prop_assert_eq!(eco.sites().len() as u32, n_sites);
-        for eager in eco.sites() {
-            let lazy = factory.site(eager.rank);
-            prop_assert_eq!(&lazy.domain, &eager.domain);
-            prop_assert_eq!(lazy.facet, eager.facet);
-            prop_assert_eq!(&lazy.client_partner_ids, &eager.client_partner_ids);
-            prop_assert_eq!(lazy.provider_id, eager.provider_id);
-            prop_assert_eq!(&lazy.s2s_partner_ids, &eager.s2s_partner_ids);
-            prop_assert_eq!(&lazy.waterfall_tier_ids, &eager.waterfall_tier_ids);
-            prop_assert_eq!(lazy.ad_units.len(), eager.ad_units.len());
-            prop_assert_eq!(lazy.wrapper.timeout, eager.wrapper.timeout);
-            prop_assert_eq!(lazy.wrapper.send_immediately, eager.wrapper.send_immediately);
-            prop_assert_eq!(lazy.page_latency_ms, eager.page_latency_ms);
-            prop_assert_eq!(lazy.net_quality, eager.net_quality);
-            prop_assert_eq!(lazy.direct_order_cpm, eager.direct_order_cpm);
-            prop_assert_eq!(lazy.floor, eager.floor);
-        }
-    }
 }

@@ -214,8 +214,8 @@ impl JsonScratch {
     }
 
     /// Recycle a dead JSON tree: every object and array spine with real
-    /// capacity returns to this thread's pool (bounded by
-    /// [`SPINE_POOL_CAP`]); strings and scalars are dropped as usual.
+    /// capacity returns to this thread's pool (at most `SPINE_POOL_CAP`
+    /// spines of each kind); strings and scalars are dropped as usual.
     pub fn recycle(j: Json) {
         match j {
             Json::Arr(_) | Json::Obj(_) => JSON_SCRATCH.with(|s| s.borrow_mut().recycle_into(j)),
@@ -411,11 +411,13 @@ impl Json {
         Some(cur)
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document. Total: malformed input, and arrays or
+    /// objects nested deeper than 128 levels, return a [`JsonError`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -500,9 +502,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every payload
+/// the simulation builds nests a handful of levels; the bound keeps the
+/// recursive descent (and the recursive drop of its result) on a bounded
+/// stack whatever the input.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -550,11 +560,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to nest past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -761,6 +786,27 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        // Exactly at the bound: parses.
+        let v = Json::parse(&arrays(MAX_DEPTH)).unwrap();
+        assert!(v.as_arr().is_some());
+        let v = Json::parse(&objects(MAX_DEPTH)).unwrap();
+        let path = vec!["a"; MAX_DEPTH].join(".");
+        assert_eq!(v.path(&path).and_then(Json::as_f64), Some(1.0));
+        // One level deeper: rejected.
+        let e = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.msg, "nesting too deep");
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Hostile depth, closed or not: an error, never an abort.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+        assert!(Json::parse(&arrays(200_000)).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Scheduling boxes the callback, and on a visit-simulation hot path that
 //! box used to be an allocation per `schedule` call. The scheduler now
 //! recycles callback boxes through a **type-keyed box pool**
-//! ([`CbPool`]): each pool class holds spent boxes of one concrete
+//! (`CbPool`): each pool class holds spent boxes of one concrete
 //! closure type, so a recycled box always matches the layout of the
 //! closure it is asked to hold next — exact-fit size classes without any
 //! `unsafe`. A steady-state simulation (same call sites firing visit
@@ -43,7 +43,7 @@ struct CbCell<F> {
 }
 
 /// Object-safe face of a boxed, poolable callback. Implemented for every
-/// [`CbCell`] closure type; not meant to be implemented outside this
+/// `CbCell` closure type; not meant to be implemented outside this
 /// module (construct callbacks through [`Scheduler::at`] /
 /// [`Scheduler::after`]).
 pub trait QueuedCb<W> {

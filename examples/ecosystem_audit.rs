@@ -8,15 +8,15 @@ use hb_repro::analysis::{partners, summary, DatasetIndex};
 use hb_repro::prelude::*;
 
 fn main() {
-    let eco = Ecosystem::generate(EcosystemConfig::test_scale());
+    let factory = SiteFactory::new(EcosystemConfig::test_scale());
     println!(
         "generated universe: {} sites / {} partners; crawling {} days…",
-        eco.sites().len(),
-        eco.partner_list().len(),
-        eco.config.crawl_days
+        factory.config().n_sites,
+        factory.partner_list().len(),
+        factory.config().crawl_days
     );
     // Stream the campaign into the columnar index; every figure reads it.
-    let ix = DatasetIndex::from_campaign(eco.factory(), &CampaignConfig::default());
+    let ix = DatasetIndex::from_campaign(&factory, &CampaignConfig::default());
     println!(
         "campaign finished: {} HB visits, {} HB domains\n",
         ix.n_hb_visits(),

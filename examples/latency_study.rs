@@ -8,10 +8,10 @@ use hb_repro::analysis::{late, latency, slots, waterfall_cmp, DatasetIndex};
 use hb_repro::prelude::*;
 
 fn main() {
-    let eco = Ecosystem::generate(EcosystemConfig::test_scale());
-    println!("crawling {} sites for latency analysis…", eco.sites().len());
+    let factory = SiteFactory::new(EcosystemConfig::test_scale());
+    println!("crawling {} sites for latency analysis…", factory.config().n_sites);
     // Stream the campaign into the columnar index; every figure reads it.
-    let ix = DatasetIndex::from_campaign(eco.factory(), &CampaignConfig::default());
+    let ix = DatasetIndex::from_campaign(&factory, &CampaignConfig::default());
     for report in [
         latency::f12_latency_ecdf(&ix),
         latency::f13_latency_vs_rank(&ix),

@@ -8,16 +8,20 @@ use hb_repro::prelude::*;
 
 fn main() {
     // A tiny deterministic universe: 200 sites, 84 demand partners.
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    // Every site derives on demand from its `(seed, rank)`.
+    let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     println!(
         "universe: {} sites, {} run header bidding, {} demand partners",
-        eco.sites().len(),
-        eco.hb_sites().count(),
-        eco.partner_list().len()
+        factory.config().n_sites,
+        factory.sites().filter(|s| s.facet.is_some()).count(),
+        factory.partner_list().len()
     );
 
     // Visit the highest-ranked HB site with the detector attached.
-    let site = eco.hb_sites().next().expect("tiny universe has HB sites");
+    let site = factory
+        .sites()
+        .find(|s| s.facet.is_some())
+        .expect("tiny universe has HB sites");
     println!(
         "\nvisiting {} (rank {}, ground-truth facet: {})",
         site.domain,
@@ -26,10 +30,10 @@ fn main() {
     );
     let mut strings = Interner::new();
     let visit = crawl_site(
-        eco.net(),
-        eco.runtime_for(site),
-        eco.partner_list(),
-        eco.visit_rng(site.rank, 0),
+        factory.net(),
+        factory.runtime_for(&site),
+        factory.partner_list(),
+        factory.visit_rng(site.rank, 0),
         0,
         &SessionConfig::default(),
         &mut strings,

@@ -10,15 +10,15 @@ use hb_repro::core::Interner;
 use hb_repro::prelude::*;
 
 fn main() {
-    let eco = Ecosystem::generate(EcosystemConfig::test_scale());
+    let factory = SiteFactory::new(EcosystemConfig::test_scale());
 
     // Pick a client-side HB site and clone its runtime into a
     // waterfall-only variant: same page, same slots, same tiers.
-    let site = eco
-        .hb_sites()
+    let site = factory
+        .sites()
         .find(|s| s.facet == Some(HbFacet::ClientSide) && s.client_partner_ids.len() >= 2)
         .expect("client-side site with fan-out");
-    let hb_runtime = eco.runtime_for(site);
+    let hb_runtime = factory.runtime_for(&site);
     let mut wf_runtime = hb_runtime.clone();
     wf_runtime.facet = None; // force the waterfall path
 
@@ -32,19 +32,19 @@ fn main() {
 
     let mut strings = Interner::new();
     let hb = crawl_site(
-        eco.net(),
+        factory.net(),
         hb_runtime,
-        eco.partner_list(),
-        eco.visit_rng(site.rank, 0),
+        factory.partner_list(),
+        factory.visit_rng(site.rank, 0),
         0,
         &SessionConfig::default(),
         &mut strings,
     );
     let wf = crawl_site(
-        eco.net(),
+        factory.net(),
         wf_runtime,
-        eco.partner_list(),
-        eco.visit_rng(site.rank, 0),
+        factory.partner_list(),
+        factory.visit_rng(site.rank, 0),
         0,
         &SessionConfig::default(),
         &mut strings,
@@ -80,6 +80,6 @@ fn main() {
 
     // Population-level comparison over a full campaign.
     println!("\nrunning the full campaign for the population comparison…");
-    let ix = DatasetIndex::from_campaign(eco.factory(), &CampaignConfig::default());
+    let ix = DatasetIndex::from_campaign(&factory, &CampaignConfig::default());
     print!("{}", waterfall_cmp::x01_waterfall_compare(&ix).render());
 }

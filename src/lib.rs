@@ -23,8 +23,9 @@
 //! ```
 //! use hb_repro::prelude::*;
 //!
-//! // A 200-site universe, crawled once and streamed chunk by chunk into
-//! // the columnar index every figure reads.
+//! // A 200-site universe (every site derived on demand from its
+//! // `(seed, rank)`), crawled once and streamed chunk by chunk into the
+//! // columnar index every figure reads.
 //! let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
 //! let index = DatasetIndex::from_campaign(&factory, &CampaignConfig::default());
 //! let summary = hb_repro::analysis::summary::t1_summary(&index);
@@ -55,9 +56,7 @@ pub mod prelude {
         adoption_study, crawl_site, overlap_study, run_campaign_streamed, CampaignConfig,
         DatasetWriter, SessionConfig, ShardSpec, VisitChunk,
     };
-    pub use hb_ecosystem::{
-        Ecosystem, EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory,
-    };
+    pub use hb_ecosystem::{EcosystemConfig, OutageWindow, ScenarioConfig, SiteFactory};
     pub use hb_serve::{
         serve_load, AdRequest, AuctionOutcome, Decision, LoadGenConfig, ServeConfig,
         ServeReport,

@@ -15,7 +15,7 @@
 use hb_repro::adtech::{HbFacet, RobustnessPolicy};
 use hb_repro::core::{classify_request, Interner, PartnerList, RequestKind, VisitColumns};
 use hb_repro::crawler::{crawl_site_into, SessionConfig, TruthRecord, VisitScratch};
-use hb_repro::ecosystem::{Ecosystem, EcosystemConfig, ScenarioConfig};
+use hb_repro::ecosystem::{EcosystemConfig, ScenarioConfig, SiteFactory};
 use hb_repro::simnet::{Dist, HostFaultProfile};
 use hb_repro::http::{Request, RequestId, Url};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -110,7 +110,7 @@ const COLUMNAR_BUDGETS: [(&str, Option<HbFacet>, u64); 4] = [
 ///   the *mean* over several sites of the flow, since per-site partner
 ///   fan-out varies;
 /// * `cleared`: the same already-interned rank after
-///   [`Ecosystem::clear_memos`] (pure re-derivation cost).
+///   [`SiteFactory::clear_memos`] (pure re-derivation cost).
 ///
 /// Measured after PR 7 (shared sharded memo): fresh means ~63 / 54 / 72
 /// / 26 and cleared ~41 / 42 / 47 / 33 — the cleared numbers carry a few
@@ -128,7 +128,7 @@ const COLD_BUDGETS: [(&str, Option<HbFacet>, u64, u64); 4] = [
 /// One columnar visit through the per-worker scratch.
 #[allow(clippy::too_many_arguments)]
 fn columnar_visit(
-    eco: &Ecosystem,
+    factory: &SiteFactory,
     rank: u32,
     cfg: &SessionConfig,
     strings: &mut Interner,
@@ -137,9 +137,9 @@ fn columnar_visit(
     truths: &mut Vec<TruthRecord>,
 ) -> bool {
     crawl_site_into(
-        eco.net(),
-        eco.runtime_shared(rank),
-        eco.visit_rng(rank, 0),
+        factory.net(),
+        factory.runtime_shared(rank),
+        factory.visit_rng(rank, 0),
         0,
         cfg,
         strings,
@@ -152,15 +152,14 @@ fn columnar_visit(
 
 #[test]
 fn steady_state_columnar_visit_stays_within_allocation_budget() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = SessionConfig::default();
     for (label, facet, budget) in COLUMNAR_BUDGETS {
-        let site = eco
+        let site = factory
             .sites()
-            .iter()
             .find(|s| s.facet == facet)
             .unwrap_or_else(|| panic!("{label} site in tiny universe"));
-        let mut scratch = VisitScratch::new(eco.partner_list());
+        let mut scratch = VisitScratch::new(factory.partner_list());
         let mut strings = Interner::new();
         let mut cols = VisitColumns::new();
         let mut truths = Vec::new();
@@ -168,17 +167,17 @@ fn steady_state_columnar_visit_stays_within_allocation_budget() {
         // buffer pools, interner entries, factory memos).
         let (cold, _) = allocations_during(|| {
             columnar_visit(
-                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &factory, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             )
         });
         for _ in 0..2 {
             let _ = columnar_visit(
-                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &factory, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             );
         }
         let (steady, completed) = allocations_during(|| {
             columnar_visit(
-                &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &factory, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             )
         });
         eprintln!("alloc_into[{label}]: cold {cold}, steady {steady} (budget {budget})");
@@ -196,17 +195,16 @@ fn steady_state_columnar_visit_stays_within_allocation_budget() {
 
 #[test]
 fn cold_visit_stays_within_allocation_budget() {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale());
+    let factory = SiteFactory::new(EcosystemConfig::tiny_scale());
     let cfg = SessionConfig::default();
     for (label, facet, fresh_budget, cleared_budget) in COLD_BUDGETS {
-        let ranks: Vec<u32> = eco
+        let ranks: Vec<u32> = factory
             .sites()
-            .iter()
             .filter(|s| s.facet == facet)
             .map(|s| s.rank)
             .collect();
         assert!(ranks.len() >= 5, "{label}: tiny universe has enough sites");
-        let mut scratch = VisitScratch::new(eco.partner_list());
+        let mut scratch = VisitScratch::new(factory.partner_list());
         let mut strings = Interner::new();
         let mut cols = VisitColumns::new();
         let mut truths = Vec::new();
@@ -215,7 +213,7 @@ fn cold_visit_stays_within_allocation_budget() {
         // the cold derivation itself.
         for _ in 0..3 {
             let _ = columnar_visit(
-                &eco, ranks[0], &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &factory, ranks[0], &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             );
         }
         // Fresh ranks: every memo (site, account, runtime, page HTML)
@@ -225,7 +223,7 @@ fn cold_visit_stays_within_allocation_budget() {
             .map(|&rank| {
                 allocations_during(|| {
                     columnar_visit(
-                        &eco, rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                        &factory, rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
                     )
                 })
                 .0
@@ -233,10 +231,10 @@ fn cold_visit_stays_within_allocation_budget() {
             .collect();
         let mean = fresh.iter().sum::<u64>() / fresh.len() as u64;
         // Memo-cleared revisit of the warm rank: pure re-derivation.
-        eco.clear_memos();
+        factory.clear_memos();
         let (cleared, _) = allocations_during(|| {
             columnar_visit(
-                &eco, ranks[0], &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &factory, ranks[0], &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             )
         });
         eprintln!(
@@ -280,41 +278,40 @@ fn fault_path_columnar_visit_stays_within_allocation_budget() {
             },
         );
     }
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale().with_scenario(scenario));
+    let factory = SiteFactory::new(EcosystemConfig::tiny_scale().with_scenario(scenario));
     let cfg = SessionConfig::default();
     // Find a client-side site whose (deterministic) visit actually records
     // fault activity — with 35% drops on every partner the first candidate
     // almost always qualifies, but the budget must only ever be measured
     // on a visit where the fault path ran.
-    let site = eco
-        .hb_sites()
+    let site = factory
+        .sites()
         .filter(|s| s.facet == Some(HbFacet::ClientSide))
         .find(|s| {
-            let mut scratch = VisitScratch::new(eco.partner_list());
+            let mut scratch = VisitScratch::new(factory.partner_list());
             let mut strings = Interner::new();
             let mut cols = VisitColumns::new();
             let mut truths = Vec::new();
             let _ = columnar_visit(
-                &eco, s.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+                &factory, s.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
             );
             let t = truths.last().expect("visit recorded a truth");
             t.bids_dropped + t.retries + t.timed_out_partners > 0
         })
-        .expect("a client-side visit touched by ambient faults")
-        .clone();
+        .expect("a client-side visit touched by ambient faults");
 
-    let mut scratch = VisitScratch::new(eco.partner_list());
+    let mut scratch = VisitScratch::new(factory.partner_list());
     let mut strings = Interner::new();
     let mut cols = VisitColumns::new();
     let mut truths = Vec::new();
     for _ in 0..3 {
         let _ = columnar_visit(
-            &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+            &factory, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
         );
     }
     let (steady, completed) = allocations_during(|| {
         columnar_visit(
-            &eco, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
+            &factory, site.rank, &cfg, &mut strings, &mut scratch, &mut cols, &mut truths,
         )
     });
     let t = truths.last().expect("visit recorded a truth");

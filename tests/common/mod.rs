@@ -4,31 +4,25 @@
 use hb_repro::prelude::*;
 use std::sync::OnceLock;
 
-/// The test-scale ecosystem (1,400 sites × 3 days), generated once.
-pub fn ecosystem() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
-    ECO.get_or_init(|| Ecosystem::generate(EcosystemConfig::test_scale()))
+/// The test-scale universe (1,400 sites × 3 days), built once.
+pub fn universe() -> &'static SiteFactory {
+    static UNIVERSE: OnceLock<SiteFactory> = OnceLock::new();
+    UNIVERSE.get_or_init(|| SiteFactory::new(EcosystemConfig::test_scale()))
 }
 
-/// Stream the [`ecosystem`] campaign, handing each sealed chunk to `f`:
+/// Stream the [`universe`] campaign, handing each sealed chunk to `f`:
 /// the raw visit views tests check against ground truth.
 #[allow(dead_code)]
 pub fn for_each_chunk(mut f: impl FnMut(&VisitChunk)) {
-    run_campaign_streamed(
-        ecosystem().factory(),
-        &CampaignConfig::default(),
-        &mut |c| f(&c),
-    );
+    run_campaign_streamed(universe(), &CampaignConfig::default(), &mut |c| f(&c));
 }
 
-/// The columnar index over the [`ecosystem`] campaign, built once (the
+/// The columnar index over the [`universe`] campaign, built once (the
 /// figure builders consume the index).
 #[allow(dead_code)]
 pub fn index() -> &'static DatasetIndex {
     static IX: OnceLock<DatasetIndex> = OnceLock::new();
-    IX.get_or_init(|| {
-        DatasetIndex::from_campaign(ecosystem().factory(), &CampaignConfig::default())
-    })
+    IX.get_or_init(|| DatasetIndex::from_campaign(universe(), &CampaignConfig::default()))
 }
 
 /// A stressed scenario touching every axis: one partner tier with a lossy

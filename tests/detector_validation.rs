@@ -3,16 +3,17 @@
 
 mod common;
 
-use common::{ecosystem, for_each_chunk};
+use common::{for_each_chunk, universe};
 use hb_repro::core::Interner;
 use hb_repro::prelude::*;
 
 #[test]
 fn facet_classification_is_accurate() {
-    let eco = ecosystem();
-    let truth: std::collections::BTreeMap<&str, &str> = eco
-        .hb_sites()
-        .map(|s| (s.domain.as_str(), s.facet.unwrap().label()))
+    let factory = universe();
+    let truth: std::collections::BTreeMap<String, &str> = factory
+        .sites()
+        .filter(|s| s.facet.is_some())
+        .map(|s| (s.domain.to_string(), s.facet.unwrap().label()))
         .collect();
     let mut checked = 0;
     let mut correct = 0;
@@ -33,15 +34,15 @@ fn facet_classification_is_accurate() {
 
 #[test]
 fn latency_measurements_agree_with_truth() {
-    let eco = ecosystem();
+    let factory = universe();
     let mut strings = Interner::new();
     let mut diffs = Vec::new();
-    for site in eco.hb_sites().take(40) {
+    for site in factory.sites().filter(|s| s.facet.is_some()).take(40) {
         let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 7),
+            factory.net(),
+            factory.runtime_for(&site),
+            factory.partner_list(),
+            factory.visit_rng(site.rank, 7),
             7,
             &SessionConfig::default(),
             &mut strings,
@@ -62,19 +63,19 @@ fn latency_measurements_agree_with_truth() {
 
 #[test]
 fn bid_counts_match_truth_for_client_side() {
-    let eco = ecosystem();
+    let factory = universe();
     let mut strings = Interner::new();
     let mut compared = 0;
-    for site in eco
-        .hb_sites()
+    for site in factory
+        .sites()
         .filter(|s| s.facet == Some(hb_repro::adtech::HbFacet::ClientSide))
         .take(25)
     {
         let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 3),
+            factory.net(),
+            factory.runtime_for(&site),
+            factory.partner_list(),
+            factory.visit_rng(site.rank, 3),
             3,
             &SessionConfig::default(),
             &mut strings,
@@ -98,16 +99,16 @@ fn bid_counts_match_truth_for_client_side() {
 
 #[test]
 fn late_bid_accounting_matches_truth() {
-    let eco = ecosystem();
+    let factory = universe();
     let mut strings = Interner::new();
     let mut total_det = 0usize;
     let mut total_truth = 0usize;
-    for site in eco.hb_sites().take(60) {
+    for site in factory.sites().filter(|s| s.facet.is_some()).take(60) {
         let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 5),
+            factory.net(),
+            factory.runtime_for(&site),
+            factory.partner_list(),
+            factory.visit_rng(site.rank, 5),
             5,
             &SessionConfig::default(),
             &mut strings,
@@ -125,18 +126,18 @@ fn late_bid_accounting_matches_truth() {
 
 #[test]
 fn server_side_reveals_only_winners() {
-    let eco = ecosystem();
+    let factory = universe();
     let mut strings = Interner::new();
-    for site in eco
-        .hb_sites()
+    for site in factory
+        .sites()
         .filter(|s| s.facet == Some(hb_repro::adtech::HbFacet::ServerSide))
         .take(20)
     {
         let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 2),
+            factory.net(),
+            factory.runtime_for(&site),
+            factory.partner_list(),
+            factory.visit_rng(site.rank, 2),
             2,
             &SessionConfig::default(),
             &mut strings,
@@ -154,14 +155,14 @@ fn server_side_reveals_only_winners() {
 
 #[test]
 fn event_counts_are_facet_consistent() {
-    let eco = ecosystem();
+    let factory = universe();
     let mut strings = Interner::new();
-    for site in eco.hb_sites().take(30) {
+    for site in factory.sites().filter(|s| s.facet.is_some()).take(30) {
         let visit = crawl_site(
-            eco.net(),
-            eco.runtime_for(site),
-            eco.partner_list(),
-            eco.visit_rng(site.rank, 1),
+            factory.net(),
+            factory.runtime_for(&site),
+            factory.partner_list(),
+            factory.visit_rng(site.rank, 1),
             1,
             &SessionConfig::default(),
             &mut strings,

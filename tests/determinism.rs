@@ -136,10 +136,14 @@ fn figure_outputs_identical_across_shard_counts() {
 
 #[test]
 fn different_seeds_give_different_worlds() {
-    let a = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(100));
-    let b = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(200));
-    let hb_a: Vec<u32> = a.hb_sites().map(|s| s.rank).collect();
-    let hb_b: Vec<u32> = b.hb_sites().map(|s| s.rank).collect();
+    let hb_ranks = |seed: u64| -> Vec<u32> {
+        SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(seed))
+            .sites()
+            .filter(|s| s.facet.is_some())
+            .map(|s| s.rank)
+            .collect()
+    };
+    let (hb_a, hb_b) = (hb_ranks(100), hb_ranks(200));
     assert_ne!(hb_a, hb_b, "different seeds must differ");
 }
 

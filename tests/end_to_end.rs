@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{ecosystem, for_each_chunk, index};
+use common::{for_each_chunk, index, universe};
 use hb_repro::analysis::{late, latency, partners, prices, slots, summary, waterfall_cmp};
 
 #[test]
@@ -203,9 +203,11 @@ fn waterfall_headline_claim() {
 #[test]
 fn detector_precision_is_total() {
     // 100% precision (paper §4.1): every detected site truly runs HB.
-    let eco = ecosystem();
-    let truth: std::collections::BTreeSet<&str> =
-        eco.hb_sites().map(|s| s.domain.as_str()).collect();
+    let truth: std::collections::BTreeSet<String> = universe()
+        .sites()
+        .filter(|s| s.facet.is_some())
+        .map(|s| s.domain.to_string())
+        .collect();
     let mut detected = 0;
     for_each_chunk(|c| {
         for v in c.visits.iter().filter(|v| v.hb_detected) {

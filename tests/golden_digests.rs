@@ -174,8 +174,7 @@ fn crawl_digests(group: &str, config: EcosystemConfig) -> Vec<(String, u64)> {
 /// The fixed degraded stream of `determinism_across_worker_counts` in
 /// `crates/serve/tests/serving.rs`, served by one worker.
 fn serve_digests() -> Vec<(String, u64)> {
-    let eco = Ecosystem::generate(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10));
-    let f = eco.factory();
+    let f = SiteFactory::new(EcosystemConfig::tiny_scale().with_seed(0x5EE_D10));
     let slice: Vec<String> = f
         .gen()
         .specs
